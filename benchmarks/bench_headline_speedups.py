@@ -61,7 +61,7 @@ def test_headline_speedups(benchmark, emit):
 def test_a100_headline_close_to_paper(emit):
     result = run_fig9("A100")
     table = TextTable(
-        ["sparsity", "measured", "paper", "ratio"],
+        ["sparsity", "modeled", "paper", "ratio"],
         title="A100 NM-SpMM speedup vs cuBLAS — paper comparison",
     )
     for sparsity, target in PAPER_A100_CUBLAS.items():

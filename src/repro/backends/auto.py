@@ -18,13 +18,15 @@ into one inspectable decision:
    efficiency that collapses with the vector length ``L`` (each column
    window's GEMM operand is only L columns wide, so below
    ~:data:`GATHER_FULL_EFFICIENCY_L` BLAS decays into skinny products;
-   the quadratic ramp is calibrated on the measured
-   ``BENCH_kernels.json`` host-BLAS crossovers).  The dense-scatter
-   path pays the full ``k`` MACs at full rate *plus* a per-call
-   scatter of the whole ``(k, n)`` weight matrix, amortized over the
-   batch — which is why tiny batches (serving decode, m=1) stay on
-   the gather path even at degenerate L, while batched tiny-L
-   problems (e.g. 2:4/L=4 at m=256) route to ``dense_scatter``.
+   the quadratic ramp was fitted to the ``BENCH_kernels.json``
+   host-BLAS crossovers of the pre-tiling kernel, whose gather buffer
+   fell out of cache, and has not been refitted to the tiled one).
+   The dense-scatter path pays the full ``k`` MACs at full rate
+   *plus* a per-call scatter of the whole ``(k, n)`` weight matrix,
+   amortized over the batch — which is why tiny batches (serving
+   decode, m=1) stay on the gather path even at degenerate L, while
+   batched tiny-L problems (e.g. 2:4/L=4 at m=256) route to
+   ``dense_scatter``.
    ``dense_scatter`` wins only when strictly cheaper (ties keep the
    sparse path: no scatter, no densified footprint).
 
@@ -57,19 +59,22 @@ __all__ = [
 
 #: Vector length at which the batched gather-GEMM reaches full BLAS
 #: efficiency in the modeled cost race; efficiency ramps as
-#: ``(L / this)^2`` below it.  Calibrated against the tracked
-#: host-BLAS benchmark (``BENCH_kernels.json``): at L=4 the gather
-#: path runs ~16x below its MAC count (2:4/L=4 measures ~5-18x slower
-#: than dense SGEMM despite doing half the MACs), while L=32 runs at
-#: or above dense rate.
+#: ``(L / this)^2`` below it.  Fitted to the host-BLAS benchmark
+#: (``BENCH_kernels.json``) of the pre-tiling kernel, before its gather
+#: was blocked to stay in cache: there the gather path ran ~16x below
+#: its MAC count at L=4 (2:4/L=4 measured ~5-18x slower than dense
+#: SGEMM despite doing half the MACs), while L=32 ran at or above dense
+#: rate.  The tiled kernel narrows 2:4/L=4 to ~5-8x slower than dense
+#: SGEMM; the constant has not been refitted.
 GATHER_FULL_EFFICIENCY_L = 16
 
 #: Modeled cost, in full-rate MAC-equivalents, of scattering one
 #: weight element back to dense (``decompress``'s allocation +
 #: ``put_along_axis`` are NumPy-overhead bound, far above a BLAS MAC).
-#: The ``k * this / m`` amortization term reproduces the measured
-#: batch-size crossover: on a 2:4/L=4 2048x2048 layer dense_scatter
-#: loses below m~32 and wins above it.
+#: The ``k * this / m`` amortization term reproduces the batch-size
+#: crossover measured against the pre-tiling gather kernel: on a
+#: 2:4/L=4 2048x2048 layer dense_scatter lost below m~32 and won above
+#: it.  Not refitted to the cache-tiled kernel.
 SCATTER_MACS_PER_ELEMENT = 256
 
 #: Bound on the selector's per-``(handle, m-bucket)`` decision memo.

@@ -3,7 +3,7 @@
 The gather-GEMM path degenerates for tiny vector lengths: with L=4
 every column window's GEMM operand is only four columns wide, so the
 batched product decays into thousands of skinny GEMMs that BLAS cannot
-run at rate (see the ``small-2:4`` row of ``BENCH_kernels.json``).
+run at rate (see the ``*-2:4`` rows of ``BENCH_kernels.json``).
 Below that efficiency crossover it is cheaper to pay the *full* dense
 FLOPs at full BLAS rate: scatter the compressed ``(B', D)`` values
 back into a dense ``(k, n)`` matrix (one vectorized
@@ -15,7 +15,9 @@ moderate-sparsity argument (§III-A: at low sparsity the problem is
 compute-bound and dense-shaped execution wins).  The scatter is paid
 per call to keep the memory footprint compressed between calls; the
 auto-selector only routes here when the modeled gather-GEMM cost
-exceeds the dense cost.
+exceeds the dense cost — a race whose constants were fitted to the
+gather kernel before it was cache-tiled (see
+:mod:`repro.backends.auto`).
 
 It is also the registry's proof of pluggability: nothing in the core
 knows this backend exists beyond its registration.

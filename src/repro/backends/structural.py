@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.backends.base import ExecutionRequest, ExecutionResult
 from repro.kernels.blocked import nm_spmm_blocked
 from repro.kernels.packed import nm_spmm_packed
@@ -43,20 +45,27 @@ class StructuralBackend:
         return True
 
     def run(self, request: ExecutionRequest) -> ExecutionResult:
-        plan = request.resolve_plan()
         compressed = request.handle.compressed
-        if plan.uses_packing:
-            col_info = request.col_info_for(plan)
+        plan = None
+        if request.m == 0:
+            # No rows: no tiles to walk and no tiling to plan, so the
+            # product is empty and a recorded trace stays empty.
             start = time.perf_counter()
-            out = nm_spmm_packed(
-                request.a, compressed, plan.params, col_info,
-                trace=request.trace,
-            )
+            out = np.zeros((0, compressed.n), dtype=np.float32)
         else:
-            start = time.perf_counter()
-            out = nm_spmm_blocked(
-                request.a, compressed, plan.params, trace=request.trace
-            )
+            plan = request.resolve_plan()
+            if plan.uses_packing:
+                col_info = request.col_info_for(plan)
+                start = time.perf_counter()
+                out = nm_spmm_packed(
+                    request.a, compressed, plan.params, col_info,
+                    trace=request.trace,
+                )
+            else:
+                start = time.perf_counter()
+                out = nm_spmm_blocked(
+                    request.a, compressed, plan.params, trace=request.trace
+                )
         seconds = time.perf_counter() - start
         if request.trace is not None:
             request.trace.tag_backend(self.name)

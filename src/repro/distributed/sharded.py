@@ -256,7 +256,7 @@ class ShardedBackend:
         compute = handle.compressed.w / efficiency / self.group.devices
         comm = mode_collective(self.group, self.shard, request.m, handle.n)
         comm_macs = comm.seconds * self.group.gpu.locked_peak_flops / 2.0
-        return compute + comm_macs / (request.m * handle.n)
+        return compute + comm_macs / (max(1, request.m) * handle.n)
 
     def run(self, request: ExecutionRequest) -> ExecutionResult:
         sharded = self._sharded_for(request)

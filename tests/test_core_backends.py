@@ -209,6 +209,19 @@ class TestFastLogicalShapes:
             out, a @ handle.dense(), rtol=RTOL, atol=ATOL
         )
 
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_zero_row_batch(self, rng, backend):
+        """An empty batch is an empty product on ``auto`` and on every
+        registered backend — the auto race used to divide the sharded
+        collective by ``m`` and raise ZeroDivisionError."""
+        pattern = NMPattern(2, 8, vector_length=4)
+        op = NMSpMM(pattern)
+        handle = op.prepare(random_dense(50, 45, rng))
+        a = np.zeros((0, 50), dtype=np.float32)
+        out = op.execute(a, handle, backend=backend)
+        assert out.shape == (0, handle.n_logical)
+        assert out.dtype == np.float32
+
     def test_one_shot_backend_passthrough(self, rng):
         pattern = NMPattern(2, 4, vector_length=4)
         a = random_dense(8, 16, rng)

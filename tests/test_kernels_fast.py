@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.kernels.blocked import nm_spmm_blocked
-from repro.kernels.fast import nm_spmm_fast
+from repro.kernels.fast import GATHER_BUFFER_ELEMENTS, ROW_TILE, nm_spmm_fast
 from repro.kernels.functional import nm_spmm_functional
 from repro.kernels.packed import nm_spmm_packed
 from repro.kernels.reference import nm_spmm_reference
@@ -117,6 +117,39 @@ class TestFastEquivalence:
         out = nm_spmm_fast(a, comp)
         assert out.shape == (1, comp.n)
         np.testing.assert_allclose(out, gold, rtol=RTOL, atol=ATOL)
+
+
+#: More rows than two row tiles, so the last tile is ragged.
+RAGGED_M = 2 * ROW_TILE + 3
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
+class TestFastRowTiling:
+    def test_ragged_row_tiles_vs_dense(self, pattern):
+        a, comp, gold = _setup(pattern, RAGGED_M, 4 * pattern.padded_n(8), 2 * pattern.m)
+        np.testing.assert_allclose(
+            nm_spmm_fast(a, comp), gold, rtol=RTOL, atol=ATOL
+        )
+
+    def test_ragged_row_tiles_one_window_groups(self, pattern, monkeypatch):
+        import repro.kernels.fast as fast_module
+
+        a, comp, gold = _setup(pattern, RAGGED_M, 4 * pattern.padded_n(8), 2 * pattern.m)
+        monkeypatch.setattr(fast_module, "GATHER_BUFFER_ELEMENTS", 1)
+        np.testing.assert_allclose(
+            nm_spmm_fast(a, comp), gold, rtol=RTOL, atol=ATOL
+        )
+
+
+def test_window_floor_with_row_tiles():
+    """A window wider than the buffer bound allows for one row tile:
+    the one-window floor and the row tiling are active together, at
+    the kernel's real bounds."""
+    pattern = NMPattern(4, 8, vector_length=4)
+    k = 1152
+    a, comp, gold = _setup(pattern, RAGGED_M, 16, k)
+    assert comp.w * ROW_TILE > GATHER_BUFFER_ELEMENTS
+    np.testing.assert_allclose(nm_spmm_fast(a, comp), gold, rtol=RTOL, atol=ATOL)
 
 
 class TestFastShapeContract:
