@@ -35,8 +35,9 @@ silent loss), the healthy baseline is unperturbed by enabling
 resilience, and on the device-fail-stop scenario resilience-on SLO
 goodput strictly beats resilience-off at equal load.
 
-Run standalone (``python benchmarks/bench_resilience.py [--smoke]``)
-or under pytest-benchmark (``pytest benchmarks/bench_resilience.py``).
+Run standalone (``python benchmarks/bench_resilience.py [--smoke]``;
+``--smoke`` is the short no-write CI variant) or under
+pytest-benchmark (``pytest benchmarks/bench_resilience.py``).
 """
 
 from __future__ import annotations
@@ -212,7 +213,11 @@ def test_bench_resilience(benchmark, emit):
 if __name__ == "__main__":  # pragma: no cover
     import sys
 
-    bench_result = run_resilience_bench(smoke="--smoke" in sys.argv[1:])
+    smoke = "--smoke" in sys.argv[1:]
+    bench_result = run_resilience_bench(smoke=smoke)
     check_acceptance(bench_result)
     print(render_results(bench_result))
-    print(f"\nwrote {write_results(bench_result)}")
+    if smoke:
+        print("\nsmoke run: no JSON write")
+    else:
+        print(f"\nwrote {write_results(bench_result)}")

@@ -434,12 +434,12 @@ def main(argv: "list[str] | None" = None) -> int:
                 tracer = Tracer(sink=stream_writer)
             else:
                 tracer = Tracer()
-        policy = BatchingPolicy(
-            max_batch_requests=args.max_batch_requests,
-            max_batch_rows=args.max_batch_rows,
-            max_wait_s=args.max_wait_ms * 1e-3,
-        )
         try:
+            policy = BatchingPolicy(
+                max_batch_requests=args.max_batch_requests,
+                max_batch_rows=args.max_batch_rows,
+                max_wait_s=args.max_wait_ms * 1e-3,
+            )
             if args.model_mode:
                 from repro.serve.model_exec import ModelServingScenario
 

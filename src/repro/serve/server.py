@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,13 @@ __all__ = ["ModelEntry", "ServingReport", "InferenceServer"]
 #: marshalling) on top of the modeled GPU time.
 DEFAULT_HOST_OVERHEAD_S = 10e-6
 
+#: Trace event of each non-completion outcome.
+_DROP_EVENTS = {
+    "shed": "admission.shed",
+    "timed-out": "request.timeout",
+    "failed": "request.failed",
+}
+
 
 @dataclass(frozen=True)
 class ModelEntry:
@@ -125,7 +133,7 @@ class ModelEntry:
             return self.executor.vocab
         return self.handle.n_logical
 
-    @property
+    @cached_property  # entries are immutable; the launch path asks often
     def distributed(self) -> bool:
         if self.layers:
             return any(layer.sharded is not None for layer in self.layers)
@@ -133,28 +141,22 @@ class ModelEntry:
 
     def describe(self) -> str:
         if self.executor is not None:
-            text = (
-                f"{self.name}: {self.executor.model.name} "
-                f"({len(self.layers)} layers, "
-                f"{self.executor.pattern.label()}) "
-                f"gpu={self.op.gpu.name} {self.op.version.value}"
+            what = (
+                f"{self.executor.model.name} ({len(self.layers)} layers, "
+                f"{self.executor.pattern.label()})"
             )
-            if self.distributed:
-                sub = self.layers[0]
-                text += (
-                    f" [{sub.sharded.mode}-parallel x"
-                    f"{sub.sharded.devices} over {sub.group.link.name}]"
-                )
-            return text
+            placed = self.layers[0]
+        else:
+            what = f"{self.op.pattern.label()} k={self.k} n={self.n}"
+            placed = self
         text = (
-            f"{self.name}: {self.op.pattern.label()} "
-            f"k={self.k} n={self.n} gpu={self.op.gpu.name} "
+            f"{self.name}: {what} gpu={self.op.gpu.name} "
             f"{self.op.version.value}"
         )
         if self.distributed:
             text += (
-                f" [{self.sharded.mode}-parallel x"
-                f"{self.sharded.devices} over {self.group.link.name}]"
+                f" [{placed.sharded.mode}-parallel x"
+                f"{placed.sharded.devices} over {placed.group.link.name}]"
             )
         return text
 
@@ -206,6 +208,97 @@ class _RunState:
     #: The run's model -> ContinuousBatcher map (device-death handling
     #: must evict model-mode residents outside the step path).
     continuous: "dict | None" = None
+
+
+@dataclass(eq=False, slots=True)
+class _Cost:
+    """Modeled cost of one engine launch.
+
+    Built by :meth:`InferenceServer._cost` layer by layer — one layer
+    for a dynamic batch or continuous step, the whole stack for a
+    model-mode walk, whose layers run back-to-back so their seconds
+    add — and merged walk by walk for a model step's (re)prefills and
+    decode.  ``per_device`` sums each device's compute seconds,
+    ``comm_s`` every collective's seconds, and ``comm`` keeps the ring
+    collective itself when the cost is one distributed layer.
+    ``spans`` lists ``(layer, offset, seconds, (flops, ldg_bytes,
+    stg_bytes))`` per layer in walk order, the offset relative to the
+    layer's walk; ``plan`` is the single-device plan the numerics
+    execute with.
+    """
+
+    seconds: float = 0.0
+    per_device: "list[float] | tuple[()]" = ()
+    comm: "CommEvent | None" = None
+    comm_s: float = 0.0
+    spans: list = field(default_factory=list)
+    plan: object = None
+
+    @property
+    def work(self) -> "tuple[int, int, int]":
+        """``(flops, ldg_bytes, stg_bytes)`` summed over every layer."""
+        if len(self.spans) == 1:
+            return self.spans[0][3]
+        flops = ldg_bytes = stg_bytes = 0
+        for _, _, _, (layer_flops, layer_ldg, layer_stg) in self.spans:
+            flops += layer_flops
+            ldg_bytes += layer_ldg
+            stg_bytes += layer_stg
+        return flops, ldg_bytes, stg_bytes
+
+    def merge(self, walk: "_Cost") -> None:
+        """Charge ``walk`` after everything charged so far (its spans
+        keep their walk-relative offsets)."""
+        self.seconds += walk.seconds
+        self.comm_s += walk.comm_s
+        if walk.per_device:
+            self.per_device = _device_sum(self.per_device, walk.per_device)
+        self.spans.extend(walk.spans)
+
+
+def _device_sum(total: list, per_device: list) -> list:
+    """Per-device seconds of two back-to-back launches (``total`` may
+    still be empty)."""
+    if not total:
+        return list(per_device)
+    return [a + b for a, b in zip(total, per_device, strict=True)]
+
+
+@dataclass(eq=False, slots=True)
+class _Launch:
+    """One engine launch on its way through the pipeline: what its
+    form step cut and what it costs.
+
+    ``kind`` is ``"prefill"`` (a dynamic batch), ``"decode"`` (a
+    continuous step of a plain matmul entry) or ``"model"`` (a
+    model-mode step).  ``cb`` through ``preempted`` and ``dropped``/
+    ``retry`` belong to the continuous kinds, ``prefills`` through
+    ``kv_evicted`` to model mode.
+    """
+
+    kind: str
+    name: str
+    entry: ModelEntry
+    batch: object
+    start_s: float
+    cost: _Cost
+    #: Modeled launches the batch holds the GPU for (a dynamic batch
+    #: runs until its longest member finishes; a failed launch dies
+    #: at its first).
+    steps: int = 1
+    cb: "ContinuousBatcher | None" = None
+    joined: int = 0
+    preempted: int = 0
+    #: ``(inflight, tokens, padded_rows, walk cost)`` per (re)prefill.
+    prefills: "list | tuple" = ()
+    decode: "_Cost | None" = None
+    prefill_s: float = 0.0
+    thrash_s: float = 0.0
+    kv_evicted: int = 0
+    #: Set by the failure handler: ids of the residents dropped for
+    #: good, and the ``(residents, attempt)`` of the held-off retry.
+    dropped: "tuple[int, ...]" = ()
+    retry: "tuple[int, int] | None" = None
 
 
 @dataclass
@@ -480,17 +573,11 @@ class InferenceServer:
         self.host_link_bytes_per_s = host_link_bytes_per_s
         self._models: dict[str, ModelEntry] = {}
         self._inbox: list[InferenceRequest] = []
-        #: (registry id, metric, label) -> pre-bound metric handle;
-        #: the per-launch hot path must not re-normalize labels.
+        #: (metric, label) -> pre-bound metric handle of
+        #: ``_bound_registry``; the per-launch hot path must not
+        #: re-normalize labels.
         self._bound_metrics: dict = {}
-        # Per-site handle caches keyed by the one varying label value —
-        # a plain string-keyed dict get per observation instead of
-        # rebuilding/hashing a tuple key (the per-launch hot path).
-        self._launch_metric_cache: dict = {}
-        self._qwait_metric_cache: dict = {}
-        self._plan_metric_cache: dict = {}
-        self._admit_metric_cache: dict = {}
-        self._kv_gauge_cache: dict = {}
+        self._bound_registry = None
 
     # ------------------------------------------------------------------
     # Registry
@@ -518,20 +605,8 @@ class InferenceServer:
         distributed server this is where the offline phase pays the
         tensor-parallel partition (plus the per-shard gather layouts),
         so serving steps only execute and communicate."""
-        if not name:
-            raise ServeError("model name must be nonempty")
-        if name in self._models:
-            raise ServeError(f"model {name!r} is already registered")
-        sharded = None
-        group = None
-        if self.devices > 1:
-            sharded = shard_handle(handle, self.devices, self.shard)
-            group = DeviceGroup(
-                gpu=op.gpu, devices=self.devices, link=self.link
-            )
-        entry = ModelEntry(
-            name=name, op=op, handle=handle, sharded=sharded, group=group
-        )
+        self._check_new_name(name)
+        entry = self._placed(name, op, handle, self.devices)
         self._models[name] = entry
         return entry
 
@@ -545,10 +620,7 @@ class InferenceServer:
         model-mode (``prompt_len``/``max_new_tokens``): the engine
         walks prefill and per-token decode through the sub-entries,
         one modeled gather-GEMM launch per layer per step."""
-        if not name:
-            raise ServeError("model name must be nonempty")
-        if name in self._models:
-            raise ServeError(f"model {name!r} is already registered")
+        self._check_new_name(name)
         if self.execute_numerics:
             raise ServeError(
                 "model-mode serving is modeled-time only; build the "
@@ -560,31 +632,41 @@ class InferenceServer:
                 "model-mode serving decodes through the rolling batch; "
                 "build the server with continuous_batching=True"
             )
-        layers = []
-        for spec in executor.layers:
-            op, handle = spec.layer.op, spec.layer.handle
-            sharded = None
-            group = None
-            if self.devices > 1:
-                sharded = shard_handle(handle, self.devices, self.shard)
-                group = DeviceGroup(
-                    gpu=op.gpu, devices=self.devices, link=self.link
-                )
-            layers.append(
-                ModelEntry(
-                    name=f"{name}/{spec.name}", op=op, handle=handle,
-                    sharded=sharded, group=group,
-                )
+        layers = tuple(
+            self._placed(
+                f"{name}/{spec.name}", spec.layer.op, spec.layer.handle,
+                self.devices,
             )
+            for spec in executor.layers
+        )
         entry = ModelEntry(
             name=name,
             op=executor.layers[0].layer.op,
             handle=executor.layers[0].layer.handle,
             executor=executor,
-            layers=tuple(layers),
+            layers=layers,
         )
         self._models[name] = entry
         return entry
+
+    def _check_new_name(self, name: str) -> None:
+        if not name:
+            raise ServeError("model name must be nonempty")
+        if name in self._models:
+            raise ServeError(f"model {name!r} is already registered")
+
+    def _placed(
+        self, name: str, op: NMSpMM, handle: SparseHandle, devices: int
+    ) -> ModelEntry:
+        """A matmul entry on ``devices`` devices — sharded
+        tensor-parallel over a group of them when there are several."""
+        if devices < 2:
+            return ModelEntry(name=name, op=op, handle=handle)
+        return ModelEntry(
+            name=name, op=op, handle=handle,
+            sharded=shard_handle(handle, devices, self.shard),
+            group=DeviceGroup(gpu=op.gpu, devices=devices, link=self.link),
+        )
 
     @property
     def model_names(self) -> list[str]:
@@ -598,20 +680,20 @@ class InferenceServer:
                 f"unknown model {name!r}; registered: {self.model_names}"
             ) from None
 
-    def _entry(self, name: str, state: "_RunState | None") -> ModelEntry:
+    def _entry(self, name: str, state: _RunState) -> ModelEntry:
         """The model entry a launch executes with: the run-local
         re-sharded overlay entry when a fail-stop re-partitioned the
         model, else the registered one."""
-        if state is not None and name in state.overlay:
+        if name in state.overlay:
             return state.overlay[name]
         return self.model(name)
 
     def _phys_devices(
-        self, entry: ModelEntry, state: "_RunState | None"
+        self, entry: ModelEntry, state: _RunState
     ) -> tuple[int, ...]:
         """The physical device ids ``entry`` occupies, in shard-slot
         order.  Identity until a re-shard maps the survivors."""
-        if state is not None and entry.name in state.device_map:
+        if entry.name in state.device_map:
             return state.device_map[entry.name]
         if entry.distributed:
             return tuple(range(self.devices))
@@ -705,12 +787,8 @@ class InferenceServer:
         tiers just because a low-priority decode request is queued."""
         keys = [
             request_order_key(entry.request, self.scheduling)
-            for entry in batcher.resident
+            for entry in (*batcher.resident, *batcher.preempted)
         ]
-        keys.extend(
-            request_order_key(entry.request, self.scheduling)
-            for entry in batcher.preempted
-        )
         if queue:
             keys.append(self._queue_key(queue))
         return min(keys)
@@ -722,7 +800,7 @@ class InferenceServer:
         )
 
     # ------------------------------------------------------------------
-    # Launch accounting (shared by the dynamic and continuous paths)
+    # Launch cost (the perf model behind every launch kind)
     # ------------------------------------------------------------------
     def _bm(
         self,
@@ -734,12 +812,14 @@ class InferenceServer:
         """Cached pre-bound metric handle for one ``(metric, label)``
         pair — per-launch instrumentation calls this instead of
         re-resolving the instrument and re-normalizing labels every
-        step."""
-        registry = self.tracer.metrics
-        key = (id(registry), name, label)
+        step.  The cache holds handles of ``_bound_registry`` only:
+        :meth:`simulate` starts a fresh one when the tracer (or its
+        registry) was swapped, so observations never land in a
+        previous run's registry."""
+        key = (name, label)
         handle = self._bound_metrics.get(key)
         if handle is None:
-            metric = getattr(registry, kind)(name, help_text)
+            metric = getattr(self.tracer.metrics, kind)(name, help_text)
             handle = (
                 metric.labels(**{label[0]: label[1]})
                 if label is not None
@@ -748,26 +828,25 @@ class InferenceServer:
             self._bound_metrics[key] = handle
         return handle
 
-    def _cached_plan(self, cache: PlanCache, device: int, entry: ModelEntry,
-                     handle: SparseHandle, padded_rows: int):
-        """One plan-cache lookup, surfaced (when tracing) as a
+    def _cached_plan(self, device: int, entry: ModelEntry,
+                     handle: SparseHandle, padded_rows: int, t_s: float):
+        """One plan-cache lookup on ``device`` for a launch starting at
+        ``t_s``, surfaced (when tracing) as a
         ``plan_cache.hit``/``plan_cache.miss`` event plus a counter —
         the outcome read off the cache's own stats delta, so the event
         stream and ``plan_cache_stats`` can never disagree."""
+        cache = self.plan_caches[device]
         tr = self.tracer
         if tr is None:
             return cache.lookup(entry.name, entry.op, handle, padded_rows)
+        tr.advance(t_s)
         hits_before = cache.stats.hits
         plan_entry = cache.lookup(entry.name, entry.op, handle, padded_rows)
         outcome = "hit" if cache.stats.hits > hits_before else "miss"
-        counter = self._plan_metric_cache.get(outcome)
-        if counter is None:
-            counter = self._bm(
-                "counter", "serve_plan_cache_total",
-                "plan-cache lookups by outcome", ("outcome", outcome),
-            )
-            self._plan_metric_cache[outcome] = counter
-        counter.inc()
+        self._bm(
+            "counter", "serve_plan_cache_total",
+            "plan-cache lookups by outcome", ("outcome", outcome),
+        ).inc()
         if tr.sample():  # skip attr building on dropped traces
             tr.event(
                 f"plan_cache.{outcome}",
@@ -779,192 +858,82 @@ class InferenceServer:
             )
         return plan_entry
 
-    def _modeled_launch(
+    def _cost(
         self,
-        entry: ModelEntry,
+        entries: "tuple[ModelEntry, ...]",
         padded_rows: int,
-        state: "_RunState | None" = None,
-        t_s: float = 0.0,
-    ) -> (
-        "tuple[float, tuple[float, ...], CommEvent | None, object,"
-        " tuple[int, int, int]]"
-    ):
-        """Model one ``padded_rows``-row launch of ``entry``:
-        ``(modeled_gpu_s, per_device_gpu_s, comm_event, plan, cost)``
-        where ``cost`` is the launch's ``(flops, ldg_bytes,
-        stg_bytes)`` from the cached plans' analytic traces (summed
-        over device shards) — the counts roofline attribution places
-        against the GPU's peaks.
+        state: _RunState,
+        t_s: float,
+    ) -> _Cost:
+        """Model launching ``entries`` back-to-back at ``padded_rows``
+        rows from ``t_s``: one entry for a dynamic batch or continuous
+        step, every layer of the stack for a model-mode walk.
 
-        Single-device entries go through the shared plan cache exactly
-        as before (plan returned for the numerics path, no comm
-        event).  Distributed entries look up one plan per device shard
-        in that device's own cache; the launch's modeled time is the
-        slowest device plus the mode's ring collective, returned as
-        the full :class:`~repro.distributed.topology.CommEvent` so the
-        trace can attribute wire bytes, not just seconds.
+        Single-device entries look up one plan in their device's
+        cache (the plan is kept for the numerics path).  Distributed
+        entries look up one plan per device shard in that device's own
+        cache; the layer's modeled time is the slowest device plus the
+        mode's ring collective, kept as the full
+        :class:`~repro.distributed.topology.CommEvent` so the trace can
+        attribute wire bytes, not just seconds.  Each layer's
+        ``(flops, ldg_bytes, stg_bytes)`` comes from the cached plans'
+        analytic traces (summed over shards) — the counts roofline
+        attribution places against the GPU's peaks.
 
         With a fault injector active, each device's modeled seconds is
         multiplied by its straggler clock factor at ``t_s`` and the
         collective is priced against the (possibly degraded) link — so
         a slowdown on one device gates the whole tensor-parallel
-        launch, exactly as the topology model prescribes.
-        """
-        injector = None if state is None else state.injector
-        phys = self._phys_devices(entry, state)
-        if not entry.distributed:
-            device = phys[0]
-            plan_entry = self._cached_plan(
-                self.plan_caches[device], device, entry, entry.handle,
-                padded_rows,
-            )
-            seconds = plan_entry.modeled_seconds
-            if injector is not None:
-                seconds *= injector.device_factor(device, t_s)
-            return seconds, (), None, plan_entry.plan, plan_entry.launch_cost
-        per_device = []
-        flops = ldg_bytes = stg_bytes = 0
-        for shard in entry.sharded.shards:
-            device = phys[shard.device]
-            plan_entry = self._cached_plan(
-                self.plan_caches[device], device, entry,
-                shard.handle, padded_rows,
-            )
-            seconds = plan_entry.modeled_seconds
-            if injector is not None:
-                seconds *= injector.device_factor(device, t_s)
-            per_device.append(seconds)
-            shard_flops, shard_ldg, shard_stg = plan_entry.launch_cost
-            flops += shard_flops
-            ldg_bytes += shard_ldg
-            stg_bytes += shard_stg
-        group = entry.group
-        if injector is not None:
-            group = injector.degraded_group(group, t_s)
-        comm = entry.sharded.collective(group, padded_rows)
-        return (
-            max(per_device) + comm.seconds, tuple(per_device), comm, None,
-            (flops, ldg_bytes, stg_bytes),
-        )
-
-    def _trace_launch(
-        self,
-        tr: Tracer,
-        parent: "object | None",
-        start_s: float,
-        steps: int,
-        modeled_s: float,
-        per_device: "tuple[float, ...]",
-        comm: "CommEvent | None",
-        model: str,
-        device_ids: "tuple[int, ...] | None" = None,
-        failed: bool = False,
-        rows: "int | None" = None,
-        gpu: "str | None" = None,
-        cost: "tuple[int, int, int] | None" = None,
-    ):
-        """Record one launch's GPU-side spans: ``gpu.launch`` covering
-        the full modeled busy time (so summed launch durations equal
-        ``ServingMetrics.gpu_busy_s`` exactly), one nested
-        ``device.compute`` child per device shard, and — when the
-        launch communicates — a ``comm.<collective>`` child occupying
-        the launch's tail (compute gates the ring, so the collective
-        finishes the launch), carrying the modeled wire bytes.
-
-        ``rows``/``gpu``/``cost`` enrich the ``gpu.launch`` span with
-        the padded row count, the GPU-catalog name, and the launch's
-        ``(flops, ldg_bytes, stg_bytes)`` — scaled by ``steps`` —
-        which ``trace attribute`` places on the roofline offline."""
-        handles = self._launch_metric_cache.get(model)
-        if handles is None:
-            handles = (
-                self._bm(
-                    "counter", "serve_launches_total",
-                    "batch/step launches", ("model", model),
-                ),
-                self._bm(
-                    "histogram", "serve_launch_seconds",
-                    "modeled GPU seconds per launch", ("model", model),
-                ),
-            )
-            self._launch_metric_cache[model] = handles
-        handles[0].inc()
-        handles[1].observe(steps * modeled_s)
-        launch_end = start_s + steps * modeled_s
-        if parent is not None and not parent.sampled:
-            # metrics above are sampling-independent; the span tree of
-            # an unsampled trace is never built.
-            tr.advance(launch_end)
-            return None
-        extra = {"failed": True} if failed else {}
-        if rows is not None:
-            extra["rows"] = rows
-        if gpu is not None:
-            extra["gpu"] = gpu
-        if cost is not None:
-            extra["flops"] = steps * cost[0]
-            extra["ldg_bytes"] = steps * cost[1]
-            extra["stg_bytes"] = steps * cost[2]
-        launch = tr.add_span(
-            "gpu.launch", start_s, launch_end,
-            track="gpu", parent=parent, model=model, steps=steps, **extra,
-        )
-        if launch.sampled:  # children of an unsampled trace never record
-            for slot, seconds in enumerate(per_device):
-                device = device_ids[slot] if device_ids else slot
-                tr.add_span(
-                    "device.compute", start_s, start_s + steps * seconds,
-                    track=f"device{device}", parent=launch,
-                    device=device, model=model,
+        launch, exactly as the topology model prescribes."""
+        injector = state.injector
+        total = comm_total = 0.0
+        per_device_total: "list[float]" = []
+        spans = []
+        plan = comm = None
+        for entry in entries:
+            if entry.distributed:
+                phys = self._phys_devices(entry, state)
+                per_device = []
+                flops = ldg_bytes = stg_bytes = 0
+                for shard in entry.sharded.shards:
+                    device = phys[shard.device]
+                    plan_entry = self._cached_plan(
+                        device, entry, shard.handle, padded_rows, t_s
+                    )
+                    seconds = plan_entry.modeled_seconds
+                    if injector is not None:
+                        seconds *= injector.device_factor(device, t_s)
+                    per_device.append(seconds)
+                    shard_flops, shard_ldg, shard_stg = plan_entry.launch_cost
+                    flops += shard_flops
+                    ldg_bytes += shard_ldg
+                    stg_bytes += shard_stg
+                work = (flops, ldg_bytes, stg_bytes)
+                group = entry.group
+                if injector is not None:
+                    group = injector.degraded_group(group, t_s)
+                comm = entry.sharded.collective(group, padded_rows)
+                seconds = max(per_device) + comm.seconds
+                comm_total += comm.seconds
+                per_device_total = _device_sum(per_device_total, per_device)
+            else:
+                # What _phys_devices answers for a single-device entry,
+                # without the call on the per-layer path.
+                device = state.device_map.get(entry.name, (0,))[0]
+                plan_entry = self._cached_plan(
+                    device, entry, entry.handle, padded_rows, t_s
                 )
-            if comm is not None and comm.seconds > 0:
-                tr.add_span(
-                    f"comm.{comm.collective}",
-                    launch_end - steps * comm.seconds, launch_end,
-                    track="comm", parent=launch, model=model,
-                    **comm.trace_attrs(),
-                )
-        return launch
-
-    def _trace_queue_wait(
-        self, tr: Tracer, request: InferenceRequest, started_s: float,
-        queue: str, keep: "bool | None" = None,
-        finished_s: "float | None" = None,
-    ) -> None:
-        """One request's time-in-queue as a span on the ``queue``
-        track (admission to service start) plus a wait histogram.
-        ``keep`` ties the span to its batch's sampling decision (the
-        histogram records regardless — metrics never sample).
-
-        ``finished_s`` additionally emits a ``request.complete`` event
-        at the request's completion time: together with ``queue.wait``
-        it bounds the request's end-to-end interval, which the
-        critical-path analyzer decomposes into queue / compute / comm
-        / paging / retry-backoff buckets offline."""
-        hist = self._qwait_metric_cache.get(queue)
-        if hist is None:
-            hist = self._bm(
-                "histogram", "serve_queue_wait_seconds",
-                "queue wait per request", ("queue", queue),
-            )
-            self._qwait_metric_cache[queue] = hist
-        hist.observe(started_s - request.arrival_s)
-        if keep is False:
-            return
-        tr.add_span(
-            "queue.wait", request.arrival_s, started_s,
-            track="queue", parent=None, keep=keep,
-            request_id=request.request_id, model=request.model,
-            priority=request.priority, queue=queue,
+                seconds = plan_entry.modeled_seconds
+                if injector is not None:
+                    seconds *= injector.device_factor(device, t_s)
+                work = plan_entry.launch_cost
+                plan = plan_entry.plan
+            spans.append((entry.name, total, seconds, work))
+            total += seconds
+        return _Cost(
+            total, per_device_total, comm if len(entries) == 1 else None,
+            comm_total, spans, plan,
         )
-        if finished_s is not None:
-            tr.event(
-                "request.complete", t_s=finished_s, track="queue",
-                keep=keep, request_id=request.request_id,
-                model=request.model, priority=request.priority,
-                queue=queue, started_s=started_s,
-                arrival_s=request.arrival_s,
-            )
 
     def _execute_batch(self, entry: ModelEntry, batch, plan) -> list:
         """Run one batch's numerics and split per-request outputs."""
@@ -976,9 +945,6 @@ class InferenceServer:
             tracer=self.tracer,
         )
         return batch.split(c)
-
-    def _plan_cache_snapshot(self) -> list:
-        return [cache.stats.snapshot() for cache in self.plan_caches]
 
     def _plan_cache_stats_since(self, snapshots: list) -> dict:
         """Aggregate per-device plan-cache deltas into one stats dict
@@ -1033,12 +999,6 @@ class InferenceServer:
             return None
         return phys[slot]
 
-    def _note_launch_ok(self, entry: ModelEntry, state: _RunState) -> None:
-        if state.injector is None:
-            return
-        for device in self._phys_devices(entry, state):
-            state.breaker_streak[device] = 0
-
     def _note_launch_failed(
         self, fail_device: int, t_s: float, state: _RunState
     ) -> float:
@@ -1062,16 +1022,12 @@ class InferenceServer:
             return 0.0
         state.breaker_streak[fail_device] = 0
         state.metrics.circuit_opens += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.event(
-                "device.circuit_open", t_s=t_s, track="faults",
-                device=fail_device, streak=streak,
-                permanent=res.breaker_cooldown_s is None,
-            )
-            tr.metrics.counter(
-                "serve_circuit_opens_total", "circuit-breaker openings"
-            ).inc()
+        self._trace_event(
+            "device.circuit_open", t_s, "faults",
+            ("serve_circuit_opens_total", "circuit-breaker openings", {}),
+            device=fail_device, streak=streak,
+            permanent=res.breaker_cooldown_s is None,
+        )
         if res.breaker_cooldown_s is not None:
             state.breaker_down[fail_device] = t_s + res.breaker_cooldown_s
             return 0.0
@@ -1084,11 +1040,10 @@ class InferenceServer:
             until = state.breaker_down[device]
             if until <= t_s:
                 del state.breaker_down[device]
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "device.circuit_close", t_s=until, track="faults",
-                        device=device,
-                    )
+                self._trace_event(
+                    "device.circuit_close", until, "faults", None,
+                    device=device,
+                )
 
     def _down_until(
         self, entry: ModelEntry, t_s: float, state: _RunState
@@ -1142,7 +1097,6 @@ class InferenceServer:
             or self.devices == 1
         ):
             return 0.0
-        tr = self.tracer
         blocked = t_s
         for name in sorted(self._models):
             entry = self._entry(name, state)
@@ -1151,31 +1105,27 @@ class InferenceServer:
             if device not in self._phys_devices(entry, state):
                 continue
             if entry.executor is not None:
-                new_entry = self._reshard_executor_entry(
-                    entry, survivors, state
+                # Each layer re-partitions its own handle.
+                layers = tuple(
+                    self._placed(
+                        layer.name, layer.op, layer.handle, len(survivors)
+                    )
+                    for layer in entry.layers
+                )
+                for layer in layers:
+                    state.device_map[layer.name] = tuple(survivors)
+                new_entry = ModelEntry(
+                    name=name, op=entry.op, handle=entry.handle,
+                    executor=entry.executor, layers=layers,
                 )
                 payload = entry.executor.weight_bytes
             else:
-                handle = entry.handle
-                if len(survivors) >= 2:
-                    sharded = shard_handle(
-                        handle, len(survivors), self.shard
-                    )
-                    group = DeviceGroup(
-                        gpu=entry.op.gpu, devices=len(survivors),
-                        link=self.link,
-                    )
-                    new_entry = ModelEntry(
-                        name=name, op=entry.op, handle=handle,
-                        sharded=sharded, group=group,
-                    )
-                else:
-                    new_entry = ModelEntry(
-                        name=name, op=entry.op, handle=handle
-                    )
+                new_entry = self._placed(
+                    name, entry.op, entry.handle, len(survivors)
+                )
                 payload = (
-                    handle.compressed.values.nbytes
-                    + handle.compressed.indices.nbytes
+                    entry.handle.compressed.values.nbytes
+                    + entry.handle.compressed.indices.nbytes
                 )
             state.overlay[name] = new_entry
             state.device_map[name] = tuple(survivors)
@@ -1192,19 +1142,18 @@ class InferenceServer:
                     recovery_s=recovery_s,
                 )
             )
-            if tr is not None:
-                tr.add_span(
+            if self.tracer is not None:
+                self.tracer.add_span(
                     "reshard", blocked, blocked + recovery_s,
                     track="engine", parent=None, model=name,
                     failed_device=device, survivors=len(survivors),
                 )
-                tr.event(
-                    "reshard", t_s=blocked, track="engine", model=name,
-                    failed_device=device, survivors=len(survivors),
-                )
-                tr.metrics.counter(
-                    "serve_reshards_total", "health-driven re-shards"
-                ).inc(model=name)
+            self._trace_event(
+                "reshard", blocked, "engine",
+                ("serve_reshards_total", "health-driven re-shards",
+                 {"model": name}),
+                model=name, failed_device=device, survivors=len(survivors),
+            )
             blocked += recovery_s
             if entry.executor is not None:
                 self._evict_model_residents(
@@ -1225,36 +1174,6 @@ class InferenceServer:
         state.resharded = True
         return blocked
 
-    def _reshard_executor_entry(
-        self, entry: ModelEntry, survivors: list, state: _RunState
-    ) -> ModelEntry:
-        """Rebuild a model-mode entry's per-layer sub-entries on the
-        surviving devices (each layer re-partitions its own handle)."""
-        new_layers = []
-        for layer in entry.layers:
-            if len(survivors) >= 2:
-                sharded = shard_handle(
-                    layer.handle, len(survivors), self.shard
-                )
-                group = DeviceGroup(
-                    gpu=layer.op.gpu, devices=len(survivors),
-                    link=self.link,
-                )
-                sub = ModelEntry(
-                    name=layer.name, op=layer.op, handle=layer.handle,
-                    sharded=sharded, group=group,
-                )
-            else:
-                sub = ModelEntry(
-                    name=layer.name, op=layer.op, handle=layer.handle
-                )
-            state.device_map[sub.name] = tuple(survivors)
-            new_layers.append(sub)
-        return ModelEntry(
-            name=entry.name, op=entry.op, handle=entry.handle,
-            executor=entry.executor, layers=tuple(new_layers),
-        )
-
     def _evict_model_residents(
         self, name: str, t_s: float, state: _RunState, *, reason: str
     ) -> int:
@@ -1272,15 +1191,12 @@ class InferenceServer:
                 state.memory.release_kv(inflight.request.request_id, t_s)
         if state.memory is not None:
             state.memory.kv_evictions += len(victims)
-        tr = self.tracer
-        if tr is not None:
-            tr.event(
-                "kv.evict", t_s=t_s, track="engine", model=name,
-                count=len(victims), reason=reason,
-            )
-            tr.metrics.counter(
-                "serve_kv_evictions_total", "memory-pressure evictions"
-            ).inc(model=name, reason=reason)
+        self._trace_event(
+            "kv.evict", t_s, "engine",
+            ("serve_kv_evictions_total", "memory-pressure evictions",
+             {"model": name, "reason": reason}),
+            model=name, count=len(victims), reason=reason,
+        )
         return len(victims)
 
     def _drop(
@@ -1301,22 +1217,47 @@ class InferenceServer:
                 retries=state.attempts.get(request.request_id, 0),
             )
         )
-        tr = self.tracer
-        if tr is None:
-            return
-        event_name = {
-            "shed": "admission.shed",
-            "timed-out": "request.timeout",
-            "failed": "request.failed",
-        }[outcome]
-        tr.event(
-            event_name, t_s=at_s, track="queue",
+        self._trace_event(
+            _DROP_EVENTS[outcome], at_s, "queue",
+            ("serve_drops_total", "dropped requests by outcome",
+             {"outcome": outcome}),
             request_id=request.request_id, model=request.model,
             priority=request.priority, **attrs,
         )
-        tr.metrics.counter(
-            "serve_drops_total", "dropped requests by outcome"
-        ).inc(outcome=outcome)
+
+    def _trace_event(
+        self,
+        event: str,
+        t_s: float,
+        track: str,
+        counter: "tuple[str, str, dict] | None",
+        /,
+        **attrs,
+    ) -> None:
+        """One trace event plus, when ``counter`` is a ``(metric,
+        help, labels)`` triple, one bump of that counter — the tracer
+        touchpoint of the fault, admission and eviction paths."""
+        tr = self.tracer
+        if tr is None:
+            return
+        tr.event(event, t_s=t_s, track=track, **attrs)
+        if counter is not None:
+            name, help_text, labels = counter
+            tr.metrics.counter(name, help_text).inc(**labels)
+
+    def _burn_attempt(
+        self, request: InferenceRequest, t_s: float, state: _RunState
+    ) -> bool:
+        """Charge ``request`` one failed launch attempt.  With the
+        retry budget exhausted (or resilience off) it fails terminally
+        and this returns True."""
+        attempts = state.attempts.get(request.request_id, 0) + 1
+        res = state.resilience
+        if res is not None and attempts <= res.max_retries:
+            state.attempts[request.request_id] = attempts
+            return False
+        self._drop(request, "failed", t_s, state, attempts=attempts)
+        return True
 
     def _retry_or_fail(
         self, request: InferenceRequest, t_s: float, state: _RunState
@@ -1324,18 +1265,14 @@ class InferenceServer:
         """After a failed launch: schedule a backoff retry for
         ``request`` or, with the retry budget exhausted (or resilience
         off), fail it terminally."""
-        attempts = state.attempts.get(request.request_id, 0) + 1
-        state.attempts[request.request_id] = attempts
+        if self._burn_attempt(request, t_s, state):
+            return
         res = state.resilience
-        if res is not None and attempts <= res.max_retries:
-            u = float(state.rng.random())
-            ready_s = t_s + res.backoff_s(attempts, u)
-            heapq.heappush(
-                state.retry_heap, (ready_s, request.request_id, request)
-            )
-        else:
-            state.attempts[request.request_id] = attempts - 1
-            self._drop(request, "failed", t_s, state, attempts=attempts)
+        u = float(state.rng.random())
+        ready_s = t_s + res.backoff_s(state.attempts[request.request_id], u)
+        heapq.heappush(
+            state.retry_heap, (ready_s, request.request_id, request)
+        )
 
     def _admit_retries(
         self,
@@ -1346,21 +1283,18 @@ class InferenceServer:
         state: _RunState,
     ) -> None:
         """Re-queue every retry whose backoff expired by ``t_s``."""
-        tr = self.tracer
         while state.retry_heap and state.retry_heap[0][0] <= t_s:
             _, request_id, request = heapq.heappop(state.retry_heap)
             decode = self._is_decode(request, run_policy)
             queues = decode_queues if decode else prefill_queues
             queues[request.model].requeue(request)
-            if tr is not None:
-                tr.event(
-                    "retry.attempt", t_s=t_s, track="queue",
-                    request_id=request_id, model=request.model,
-                    attempt=state.attempts.get(request_id, 0),
-                )
-                tr.metrics.counter(
-                    "serve_retries_total", "launch-failure retries"
-                ).inc(model=request.model)
+            self._trace_event(
+                "retry.attempt", t_s, "queue",
+                ("serve_retries_total", "launch-failure retries",
+                 {"model": request.model}),
+                request_id=request_id, model=request.model,
+                attempt=state.attempts.get(request_id, 0),
+            )
 
     def _cancel_timed_out(
         self,
@@ -1408,7 +1342,6 @@ class InferenceServer:
                     kept.append(item)
             state.retry_heap = kept
             heapq.heapify(state.retry_heap)
-        tr = self.tracer
         for name, cb in continuous.items():
             cancelled = cb.cancel_where(expired)
             state.metrics.cancelled_evictions += len(cancelled)
@@ -1422,10 +1355,10 @@ class InferenceServer:
                     state.deadlines[inflight.request.request_id],
                     state, where="inflight",
                 )
-            if cancelled and tr is not None:
-                tr.event(
-                    "cb.evict", t_s=t_s, track="engine", model=name,
-                    count=len(cancelled), reason="timeout",
+            if cancelled:
+                self._trace_event(
+                    "cb.evict", t_s, "engine", None,
+                    model=name, count=len(cancelled), reason="timeout",
                 )
 
     def _next_timeout_deadline(
@@ -1456,9 +1389,7 @@ class InferenceServer:
         for item in state.retry_heap:
             consider(item[2])
         for cb in continuous.values():
-            for entry in cb.resident:
-                consider(entry.request)
-            for entry in cb.preempted:
+            for entry in (*cb.resident, *cb.preempted):
                 consider(entry.request)
         return best
 
@@ -1480,7 +1411,7 @@ class InferenceServer:
         pending = sorted(
             requests, key=lambda r: (r.arrival_s, r.request_id)
         )
-        stats_before = self._plan_cache_snapshot()
+        stats_before = [cache.stats.snapshot() for cache in self.plan_caches]
         batcher = DynamicBatcher(policy or self.policy)
         run_policy = batcher.policy
         prefill_queues = {
@@ -1533,6 +1464,8 @@ class InferenceServer:
                 if deadline is not None:
                     state.deadlines[request.request_id] = deadline
         tracer = self.tracer
+        if tracer is not None and tracer.metrics is not self._bound_registry:
+            self._bound_registry, self._bound_metrics = tracer.metrics, {}
         i, n = 0, len(pending)
         clock_s = 0.0
         gpu_free_s = 0.0
@@ -1573,14 +1506,10 @@ class InferenceServer:
                 target.push(request)
                 if tracer is not None:
                     queue_name = "decode" if decode else "prefill"
-                    admitted = self._admit_metric_cache.get(queue_name)
-                    if admitted is None:
-                        admitted = self._bm(
-                            "counter", "serve_requests_admitted_total",
-                            "admitted requests", ("queue", queue_name),
-                        )
-                        self._admit_metric_cache[queue_name] = admitted
-                    admitted.inc()
+                    self._bm(
+                        "counter", "serve_requests_admitted_total",
+                        "admitted requests", ("queue", queue_name),
+                    ).inc()
                     if tracer.sample():
                         tracer.event(
                             "request.admit",
@@ -1628,27 +1557,16 @@ class InferenceServer:
                 candidates.sort(key=lambda c: c[0])
                 _, kind, name = candidates[0]
                 if kind == "prefill":
-                    gpu_free_s = self._launch(
-                        prefill_queues[name], batcher, t, state
-                    )
-                elif self._entry(name, state).executor is not None:
-                    gpu_free_s = self._launch_model_step(
-                        name,
-                        decode_queues[name],
-                        continuous[name],
-                        batcher,
-                        t,
-                        state,
-                    )
+                    form, queue, cb = self._form_step, prefill_queues[name], None
                 else:
-                    gpu_free_s = self._launch_step(
-                        name,
-                        decode_queues[name],
-                        continuous[name],
-                        batcher,
-                        t,
-                        state,
+                    queue, cb = decode_queues[name], continuous[name]
+                    form = (
+                        self._form_model_step
+                        if self._entry(name, state).executor is not None
+                        else self._form_step
                     )
+                launch = form(name, queue, cb, batcher, t, state)
+                gpu_free_s = t if launch is None else self._launch(launch, state)
                 clock_s = t
                 continue
             # Nothing to launch: advance to the next event — arrival,
@@ -1721,139 +1639,46 @@ class InferenceServer:
             memory_model=state.memory,
         )
 
-    def _launch(
+    # ------------------------------------------------------------------
+    # Launch pipeline: form (per kind) -> cost -> fault -> record -> emit
+    # ------------------------------------------------------------------
+    def _form_step(
         self,
+        name: str,
         queue: RequestQueue,
+        cb: "ContinuousBatcher | None",
         batcher: DynamicBatcher,
         start_s: float,
         state: _RunState,
-    ) -> float:
-        """Form a dynamic batch from ``queue``, execute it at
-        ``start_s``, record per-request and per-batch results, and
-        return when the GPU frees up.
-
-        The batch geometry is fixed at the cut: a multi-step request
-        charges one modeled launch per step, and the whole batch holds
-        the GPU until its longest member finishes (finished requests'
-        rows ride along as waste — the cost continuous batching
-        removes).
-
-        Under an injected launch fault the attempt still occupies the
-        GPU for one modeled step (the fault kills the batch at its
-        first step), no request completes, and every member retries
-        with backoff or fails terminally."""
-        metrics = state.metrics
-        entry = self._entry(queue.model, state)
-        tr = self.tracer
-        if tr is not None:
-            tr.advance(start_s)
+    ) -> _Launch:
+        """Form one launch of the plain matmul entry ``name``.  Without
+        ``cb``, cut a dynamic batch from ``queue``: its geometry is
+        fixed at the cut, a multi-step request charges one modeled
+        launch per step, and the whole batch holds the GPU until its
+        longest member finishes (finished requests' rows ride along as
+        waste — the cost continuous batching removes).  With ``cb``,
+        refill the rolling batch and form its next continuous step."""
+        entry = self._entry(name, state)
         # Stack directly at the weights' padded k so execute() consumes
         # the block without another copy.
-        batch = batcher.form_batch(
-            queue, stack=self.execute_numerics, pad_to_k=entry.handle.k
+        stack, pad_to_k = self.execute_numerics, entry.handle.k
+        if cb is None:
+            batch = batcher.form_batch(queue, stack=stack, pad_to_k=pad_to_k)
+            kind, joined, preempted = "prefill", 0, 0
+            steps = max(request.steps for request in batch.requests)
+        else:
+            joined, preempted = cb.refill(queue, start_s)
+            batch = cb.form_step(
+                batcher.allocate_batch_id(), stack=stack, pad_to_k=pad_to_k
+            )
+            kind, steps = "decode", 1
+        return _Launch(
+            kind, name, entry, batch, start_s,
+            self._cost((entry,), batch.padded_rows, state, start_s),
+            steps, cb, joined, preempted,
         )
-        modeled_s, per_device, comm, plan, cost = self._modeled_launch(
-            entry, batch.padded_rows, state, start_s
-        )
-        comm_s = 0.0 if comm is None else comm.seconds
-        step_s = modeled_s + self.host_overhead_s
-        device_ids = self._phys_devices(entry, state)
 
-        fail_device = self._launch_fault(entry, start_s, state)
-        if fail_device is not None:
-            finished_s = start_s + step_s
-            if tr is not None:
-                batch_span = tr.add_span(
-                    "serve.batch", start_s, finished_s,
-                    track="engine", parent=None, kind="prefill",
-                    steps=1, failed=True, **batch.trace_attrs(),
-                )
-                self._trace_launch(
-                    tr, batch_span, start_s, 1, modeled_s,
-                    per_device, comm, batch.model,
-                    device_ids=device_ids, failed=True,
-                    rows=batch.padded_rows, gpu=entry.op.gpu.name,
-                    cost=cost,
-                )
-            metrics.add_batch(
-                BatchRecord(
-                    batch_id=batch.batch_id,
-                    model=batch.model,
-                    n_requests=batch.n_requests,
-                    rows=batch.rows,
-                    padded_rows=batch.padded_rows,
-                    started_s=start_s,
-                    finished_s=finished_s,
-                    modeled_gpu_s=modeled_s,
-                    per_device_gpu_s=per_device,
-                    comm_s=comm_s,
-                    failed=True,
-                )
-            )
-            for request in batch.requests:
-                self._retry_or_fail(request, finished_s, state)
-            blocked = self._note_launch_failed(fail_device, finished_s, state)
-            return max(finished_s, blocked)
-
-        self._note_launch_ok(entry, state)
-        max_steps = max(request.steps for request in batch.requests)
-        finished_s = start_s + max_steps * step_s
-
-        outputs: "list[np.ndarray] | None" = None
-        if self.execute_numerics:
-            outputs = self._execute_batch(entry, batch, plan)
-
-        if tr is not None:
-            keep = tr.sample()
-            batch_span = tr.add_span(
-                "serve.batch", start_s, finished_s,
-                track="engine", parent=None, keep=True, kind="prefill",
-                steps=max_steps, **batch.trace_attrs(),
-            ) if keep else tr.add_span(
-                # Dropped trace: record nothing, still advance the clock.
-                "serve.batch", start_s, finished_s, parent=None, keep=False,
-            )
-            for request in batch.requests:
-                self._trace_queue_wait(
-                    tr, request, start_s, "prefill", keep=keep,
-                    finished_s=start_s + request.steps * step_s,
-                )
-            self._trace_launch(
-                tr, batch_span, start_s, max_steps, modeled_s,
-                per_device, comm, batch.model, device_ids=device_ids,
-                rows=batch.padded_rows, gpu=entry.op.gpu.name, cost=cost,
-            )
-
-        for idx, request in enumerate(batch.requests):
-            metrics.add_request(
-                RequestRecord(
-                    request=request,
-                    batch_id=batch.batch_id,
-                    started_s=start_s,
-                    finished_s=start_s + request.steps * step_s,
-                    output=None if outputs is None else outputs[idx],
-                    retries=state.attempts.get(request.request_id, 0),
-                )
-            )
-        metrics.add_batch(
-            BatchRecord(
-                batch_id=batch.batch_id,
-                model=batch.model,
-                n_requests=batch.n_requests,
-                rows=batch.rows,
-                padded_rows=batch.padded_rows,
-                started_s=start_s,
-                finished_s=finished_s,
-                modeled_gpu_s=max_steps * modeled_s,
-                per_device_gpu_s=tuple(
-                    max_steps * seconds for seconds in per_device
-                ),
-                comm_s=max_steps * comm_s,
-            )
-        )
-        return finished_s
-
-    def _launch_step(
+    def _form_model_step(
         self,
         name: str,
         queue: RequestQueue,
@@ -1861,251 +1686,168 @@ class InferenceServer:
         batcher: DynamicBatcher,
         start_s: float,
         state: _RunState,
-    ) -> float:
-        """Run one continuous-batching engine step for ``name`` at
-        ``start_s``: refill the rolling batch, execute the resident
-        rows, evict finished sequences, and return when the GPU frees
-        up.
+    ) -> "_Launch | None":
+        """Form one model-mode engine step for ``name``, or return
+        ``None`` when nothing can be resident (the model then holds
+        off briefly so the event loop keeps advancing).
 
-        Under an injected launch fault no sequence advances (the GPU
-        time is still spent): retry-exhausted residents are evicted
-        and failed, the survivors stay resident, and the model backs
-        off (``holdoff``) before its next step."""
-        metrics = state.metrics
+        Order of operations, all on the simulated clock:
+
+        1. refill the rolling batch behind the KV admission gate
+           (``kv-aware`` only) and release the KV of anything the
+           refill preempted;
+        2. reserve KV for residents that need (re)prefill;
+        3. memory-pressure eviction: while the coming growth (one
+           token per resident) would overflow the budget, preempt the
+           victim with the lowest priority and cheapest modeled
+           re-prefill — resident bytes never exceed the budget;
+        4. cost: one gather-GEMM launch per layer for each (re)prefill
+           at the sequence's token count, plus one per-layer decode
+           walk of the whole batch, plus — under the ``none`` baseline
+           — host-link thrash for the overflow.
+
+        The pipeline then advances the batch: finished sequences
+        release their KV, survivors grow by one token.
+        """
         entry = self._entry(name, state)
-        tr = self.tracer
-        if tr is not None:
-            tr.advance(start_s)
-        joined, preempted = cb.refill(queue, start_s)
+        ex = entry.executor
+        mem = state.memory
+        bpt = ex.kv_bytes_per_token
+        run_policy = cb.policy
+
+        gate = None
+        if mem.enforce:
+            pending = 0
+
+            def gate(request: InferenceRequest, completed: int) -> bool:
+                nonlocal pending
+                # Admit on the bytes reserved now plus one step of
+                # growth headroom; lifetime feasibility was proven at
+                # submit against the full budget.
+                need = (request.prompt_len + completed + 1) * bpt
+                if not mem.fits(pending + need):
+                    return False
+                pending += need
+                return True
+
+        joined, preempted = cb.refill(queue, start_s, gate=gate)
+        # Refill preemption displaces victims out of the batch; their
+        # KV frees immediately (they re-prefill on rejoin).
+        for waiting in cb.preempted:
+            mem.release_kv(waiting.request.request_id, start_s)
+
+        if not cb.resident and mem.enforce:
+            # Every waiter is memory-blocked with nothing resident to
+            # drain.  Anything that cannot fit even alone (possible
+            # only after a fail-stop shrank the budget) is dropped;
+            # the rest waits out other models' KV via a short holdoff.
+            self._drop_hopeless_model_work(
+                name, queue, cb, mem, bpt, start_s, state
+            )
+            joined2, preempted2 = cb.refill(queue, start_s, gate=gate)
+            joined += joined2
+            preempted += preempted2
+            for waiting in cb.preempted:
+                mem.release_kv(waiting.request.request_id, start_s)
+
+        # (2) KV reservation for fresh joins and post-eviction rejoins.
+        for inflight in cb.resident:
+            if inflight.needs_prefill:
+                request = inflight.request
+                if request.request_id not in mem.kv:
+                    mem.reserve_kv(
+                        request.request_id,
+                        (request.prompt_len + inflight.completed_steps)
+                        * bpt,
+                        start_s,
+                    )
+
+        # (3) Memory-pressure eviction ahead of this step's growth.
+        kv_evicted = 0
+        if mem.enforce and cb.resident:
+            growth = len(cb.resident) * bpt
+            while mem.resident_bytes + growth > mem.budget_bytes:
+                if len(cb.resident) > 1:
+                    victim = min(
+                        enumerate(cb.resident),
+                        key=lambda item: (
+                            item[1].request.priority,
+                            cb.recompute_cost(item[1]),
+                            -item[0],
+                        ),
+                    )[1]
+                    cb.preempt_entries([victim])
+                    mem.release_kv(victim.request.request_id, start_s)
+                    mem.kv_evictions += 1
+                    kv_evicted += 1
+                    self._trace_event(
+                        "kv.evict", start_s, "engine",
+                        ("serve_kv_evictions_total",
+                         "memory-pressure evictions",
+                         {"model": name, "reason": "memory-pressure"}),
+                        model=name,
+                        request_id=victim.request.request_id,
+                        reason="memory-pressure",
+                    )
+                else:
+                    # A lone resident that can no longer grow — only
+                    # possible after a budget shrink (admission proved
+                    # lifetime fit at the base budget).
+                    lone = cb.resident[0]
+                    cb.cancel_where(
+                        lambda r: r.request_id == lone.request.request_id
+                    )
+                    state.metrics.cancelled_evictions += 1
+                    mem.release_kv(lone.request.request_id, start_s)
+                    self._drop(
+                        lone.request, "failed", start_s, state,
+                        reason="kv-overflow",
+                    )
+                growth -= bpt
+        if not cb.resident:
+            if queue or cb.has_work:
+                state.holdoff[name] = start_s + max(
+                    self.host_overhead_s, 1e-6
+                )
+            return None
+
+        # (4) Cost: per-sequence (re)prefill walks, then one decode
+        # walk of the whole rolling batch.
+        cost = _Cost()
+        prefills = []
+        for inflight in cb.resident:
+            if not inflight.needs_prefill:
+                continue
+            tokens = inflight.request.prompt_len + inflight.completed_steps
+            rows = run_policy.bucket_rows(tokens)
+            walk = self._cost(entry.layers, rows, state, start_s)
+            prefills.append((inflight, tokens, rows, walk))
+            cost.merge(walk)
+            inflight.needs_prefill = False
+        prefill_s = cost.seconds
+
         batch = cb.form_step(
-            batcher.allocate_batch_id(),
-            stack=self.execute_numerics,
+            batcher.allocate_batch_id(), stack=False,
             pad_to_k=entry.handle.k,
         )
-        modeled_gpu_s, per_device, comm, plan, cost = self._modeled_launch(
-            entry, batch.padded_rows, state, start_s
+        decode = self._cost(entry.layers, batch.padded_rows, state, start_s)
+        cost.merge(decode)
+
+        thrash_s = 0.0
+        if not mem.enforce:
+            projected = mem.resident_bytes + len(cb.resident) * bpt
+            overflow = projected - mem.budget_bytes
+            if overflow > 0:
+                # No memory model: the overflow spills to host memory
+                # and reloads over the host link every step it stays
+                # oversubscribed.
+                thrash_s = overflow / self.host_link_bytes_per_s
+                mem.overflow_steps += 1
+        cost.seconds += thrash_s
+        return _Launch(
+            "model", name, entry, batch, start_s, cost, 1, cb, joined, preempted,
+            prefills, decode, prefill_s, thrash_s, kv_evicted,
         )
-        comm_s = 0.0 if comm is None else comm.seconds
-        finished_s = start_s + modeled_gpu_s + self.host_overhead_s
-        device_ids = self._phys_devices(entry, state)
-
-        fail_device = self._launch_fault(entry, start_s, state)
-        if fail_device is not None:
-            return self._failed_step(
-                name, cb, batch, start_s, finished_s, modeled_gpu_s,
-                per_device, comm, comm_s, joined, preempted,
-                fail_device, device_ids, state, cost=cost,
-                gpu=entry.op.gpu.name,
-            )
-        self._note_launch_ok(entry, state)
-        state.cb_streak[name] = 0
-
-        outputs: "list[np.ndarray] | None" = None
-        if self.execute_numerics:
-            outputs = self._execute_batch(entry, batch, plan)
-
-        finished_entries = cb.advance()
-        if tr is not None:
-            keep = tr.sample()
-            if keep:
-                step_span = tr.add_span(
-                    "serve.step", start_s, finished_s,
-                    track="engine", parent=None, keep=True, kind="decode",
-                    joined=joined, evicted=len(finished_entries),
-                    preempted=preempted, **batch.trace_attrs(),
-                )
-                if joined:
-                    tr.event(
-                        "cb.join", t_s=start_s, track="engine",
-                        keep=True, model=name, count=joined,
-                    )
-                if preempted:
-                    tr.event(
-                        "cb.preempt", t_s=start_s, track="engine",
-                        keep=True, model=name, count=preempted,
-                    )
-                if finished_entries:
-                    tr.event(
-                        "cb.evict", t_s=finished_s, track="engine",
-                        keep=True, model=name, count=len(finished_entries),
-                    )
-            else:
-                step_span = tr.add_span(
-                    "serve.step", start_s, finished_s, parent=None,
-                    keep=False,
-                )
-            for _, inflight in finished_entries:
-                self._trace_queue_wait(
-                    tr, inflight.request, inflight.joined_s, "decode",
-                    keep=keep, finished_s=finished_s,
-                )
-            self._trace_launch(
-                tr, step_span, start_s, 1, modeled_gpu_s,
-                per_device, comm, name, device_ids=device_ids,
-                rows=batch.padded_rows, gpu=entry.op.gpu.name, cost=cost,
-            )
-        for idx, inflight in finished_entries:
-            metrics.add_request(
-                RequestRecord(
-                    request=inflight.request,
-                    batch_id=batch.batch_id,
-                    started_s=inflight.joined_s,
-                    finished_s=finished_s,
-                    output=None if outputs is None else outputs[idx],
-                    retries=state.attempts.get(
-                        inflight.request.request_id, 0
-                    ),
-                )
-            )
-        metrics.add_step(
-            StepRecord(
-                step_id=batch.batch_id,
-                model=name,
-                n_resident=batch.n_requests,
-                rows=batch.rows,
-                padded_rows=batch.padded_rows,
-                joined=joined,
-                evicted=len(finished_entries),
-                preempted=preempted,
-                started_s=start_s,
-                finished_s=finished_s,
-                modeled_gpu_s=modeled_gpu_s,
-                per_device_gpu_s=per_device,
-                comm_s=comm_s,
-            )
-        )
-        return finished_s
-
-    def _failed_step(
-        self,
-        name: str,
-        cb: ContinuousBatcher,
-        batch,
-        start_s: float,
-        finished_s: float,
-        modeled_gpu_s: float,
-        per_device: "tuple[float, ...]",
-        comm: "CommEvent | None",
-        comm_s: float,
-        joined: int,
-        preempted: int,
-        fail_device: int,
-        device_ids: tuple,
-        state: _RunState,
-        cost: "tuple[int, int, int] | None" = None,
-        gpu: "str | None" = None,
-    ) -> float:
-        """Account one continuous step that suffered a launch fault:
-        GPU time spent, no sequence advanced.  Every resident sequence
-        burns one attempt; the retry-exhausted ones are evicted (their
-        rows free immediately) and failed, the rest stay resident for
-        the next step after the model's backoff holdoff."""
-        metrics = state.metrics
-        tr = self.tracer
-        res = state.resilience
-        dropped_ids: set[int] = set()
-        for inflight in cb.resident:
-            request = inflight.request
-            attempts = state.attempts.get(request.request_id, 0) + 1
-            state.attempts[request.request_id] = attempts
-            if res is None or attempts > res.max_retries:
-                state.attempts[request.request_id] = attempts - 1
-                dropped_ids.add(request.request_id)
-                self._drop(
-                    request, "failed", finished_s, state, attempts=attempts
-                )
-        if dropped_ids:
-            cb.cancel_where(lambda r: r.request_id in dropped_ids)
-        if res is not None:
-            streak = state.cb_streak.get(name, 0) + 1
-            state.cb_streak[name] = streak
-            u = float(state.rng.random())
-            state.holdoff[name] = finished_s + res.backoff_s(
-                min(streak, 6), u
-            )
-        if tr is not None:
-            step_span = tr.add_span(
-                "serve.step", start_s, finished_s,
-                track="engine", parent=None, kind="decode",
-                joined=joined, evicted=len(dropped_ids),
-                preempted=preempted, failed=True, **batch.trace_attrs(),
-            )
-            if dropped_ids:
-                tr.event(
-                    "cb.evict", t_s=finished_s, track="engine",
-                    model=name, count=len(dropped_ids), reason="failed",
-                )
-            if res is not None and cb.has_work:
-                tr.event(
-                    "retry.attempt", t_s=finished_s, track="engine",
-                    model=name, count=len(cb.resident),
-                    attempt=state.cb_streak.get(name, 0),
-                )
-                tr.metrics.counter(
-                    "serve_retries_total", "launch-failure retries"
-                ).inc(model=name)
-            self._trace_launch(
-                tr, step_span, start_s, 1, modeled_gpu_s,
-                per_device, comm, name, device_ids=device_ids, failed=True,
-                rows=batch.padded_rows, gpu=gpu, cost=cost,
-            )
-        metrics.add_step(
-            StepRecord(
-                step_id=batch.batch_id,
-                model=name,
-                n_resident=batch.n_requests,
-                rows=batch.rows,
-                padded_rows=batch.padded_rows,
-                joined=joined,
-                evicted=len(dropped_ids),
-                preempted=preempted,
-                started_s=start_s,
-                finished_s=finished_s,
-                modeled_gpu_s=modeled_gpu_s,
-                per_device_gpu_s=per_device,
-                comm_s=comm_s,
-                failed=True,
-            )
-        )
-        blocked = self._note_launch_failed(fail_device, finished_s, state)
-        return max(finished_s, blocked)
-
-    # ------------------------------------------------------------------
-    # Model-mode serving (ModelExecutor entries)
-    # ------------------------------------------------------------------
-    def _modeled_model_walk(
-        self,
-        entry: ModelEntry,
-        padded_rows: int,
-        state: _RunState,
-        t_s: float,
-    ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """One walk of the whole layer stack at ``padded_rows`` rows:
-        ``(total_s, layer_spans, per_device_s, comm_s)``, where
-        ``layer_spans`` is ``(layer_name, start_offset, seconds,
-        cost)`` per layer in walk order — layers execute back-to-back,
-        so the walk's modeled time is their plain sum (each
-        distributed layer's seconds already includes its collective).
-        ``cost`` is the layer launch's ``(flops, ldg_bytes,
-        stg_bytes)`` for the per-layer ``gpu.launch`` span attrs."""
-        total = 0.0
-        comm_total = 0.0
-        per_device: "list[float] | None" = None
-        spans = []
-        for sub in entry.layers:
-            seconds, pd, comm, _, cost = self._modeled_launch(
-                sub, padded_rows, state, t_s
-            )
-            spans.append((sub.name, total, seconds, cost))
-            total += seconds
-            if comm is not None:
-                comm_total += comm.seconds
-            if pd:
-                if per_device is None:
-                    per_device = list(pd)
-                else:
-                    per_device = [a + b for a, b in zip(per_device, pd, strict=True)]
-        return total, tuple(spans), tuple(per_device or ()), comm_total
 
     def _drop_hopeless_model_work(
         self,
@@ -2139,388 +1881,388 @@ class InferenceServer:
                     reason="kv-overflow",
                 )
 
-    def _launch_model_step(
-        self,
-        name: str,
-        queue: RequestQueue,
-        cb: ContinuousBatcher,
-        batcher: DynamicBatcher,
-        start_s: float,
-        state: _RunState,
-    ) -> float:
-        """Run one model-mode engine step for ``name`` at ``start_s``.
-
-        Order of operations, all on the simulated clock:
-
-        1. refill the rolling batch behind the KV admission gate
-           (``kv-aware`` only) and release the KV of anything the
-           refill preempted;
-        2. reserve KV for residents that need (re)prefill;
-        3. memory-pressure eviction: while the coming growth (one
-           token per resident) would overflow the budget, preempt the
-           victim with the lowest priority and cheapest modeled
-           re-prefill — resident bytes never exceed the budget;
-        4. charge modeled time: one gather-GEMM launch per layer for
-           each (re)prefill at the sequence's token count, plus one
-           per-layer decode walk of the whole batch, plus — under the
-           ``none`` baseline — host-link thrash for the overflow;
-        5. advance: finished sequences release their KV, survivors
-           grow by one token.
-        """
-        metrics = state.metrics
-        entry = self._entry(name, state)
-        ex = entry.executor
-        mem = state.memory
-        tr = self.tracer
-        if tr is not None:
-            tr.advance(start_s)
-        bpt = ex.kv_bytes_per_token
-        run_policy = cb.policy
-
-        gate = None
-        if mem.enforce:
-            pending = 0
-
-            def gate(request: InferenceRequest, completed: int) -> bool:
-                nonlocal pending
-                # Admit on the bytes reserved now plus one step of
-                # growth headroom; lifetime feasibility was proven at
-                # submit against the full budget.
-                need = (request.prompt_len + completed + 1) * bpt
-                if not mem.fits(pending + need):
-                    return False
-                pending += need
-                return True
-
-        joined, preempted = cb.refill(queue, start_s, gate=gate)
-        # Refill preemption displaces victims out of the batch; their
-        # KV frees immediately (they re-prefill on rejoin).
-        for waiting in cb.preempted:
-            mem.release_kv(waiting.request.request_id, start_s)
-
-        if not cb.resident and (queue or cb.preempted):
-            # Every waiter is memory-blocked with nothing resident to
-            # drain.  Anything that cannot fit even alone (possible
-            # only after a fail-stop shrank the budget) is dropped;
-            # the rest waits out other models' KV via a short holdoff
-            # so the event loop keeps advancing.
-            if mem.enforce:
-                self._drop_hopeless_model_work(
-                    name, queue, cb, mem, bpt, start_s, state
-                )
-                joined2, preempted2 = cb.refill(queue, start_s, gate=gate)
-                joined += joined2
-                preempted += preempted2
-                for waiting in cb.preempted:
-                    mem.release_kv(waiting.request.request_id, start_s)
-            if not cb.resident:
-                if queue or cb.has_work:
-                    state.holdoff[name] = start_s + max(
-                        self.host_overhead_s, 1e-6
-                    )
-                return start_s
-
-        # (2) KV reservation for fresh joins and post-eviction rejoins.
-        for inflight in cb.resident:
-            if inflight.needs_prefill:
-                request = inflight.request
-                if request.request_id not in mem.kv:
-                    mem.reserve_kv(
-                        request.request_id,
-                        (request.prompt_len + inflight.completed_steps)
-                        * bpt,
-                        start_s,
-                    )
-
-        # (3) Memory-pressure eviction ahead of this step's growth.
-        kv_evicted = 0
-        if mem.enforce:
-            growth = len(cb.resident) * bpt
-            while mem.resident_bytes + growth > mem.budget_bytes:
-                if len(cb.resident) > 1:
-                    victim = min(
-                        enumerate(cb.resident),
-                        key=lambda item: (
-                            item[1].request.priority,
-                            cb.recompute_cost(item[1]),
-                            -item[0],
-                        ),
-                    )[1]
-                    cb.preempt_entries([victim])
-                    mem.release_kv(victim.request.request_id, start_s)
-                    mem.kv_evictions += 1
-                    kv_evicted += 1
-                    if tr is not None:
-                        tr.event(
-                            "kv.evict", t_s=start_s, track="engine",
-                            model=name,
-                            request_id=victim.request.request_id,
-                            reason="memory-pressure",
-                        )
-                        tr.metrics.counter(
-                            "serve_kv_evictions_total",
-                            "memory-pressure evictions",
-                        ).inc(model=name, reason="memory-pressure")
-                else:
-                    # A lone resident that can no longer grow — only
-                    # possible after a budget shrink (admission proved
-                    # lifetime fit at the base budget).
-                    lone = cb.resident[0]
-                    cb.cancel_where(
-                        lambda r: r.request_id == lone.request.request_id
-                    )
-                    metrics.cancelled_evictions += 1
-                    mem.release_kv(lone.request.request_id, start_s)
-                    self._drop(
-                        lone.request, "failed", start_s, state,
-                        reason="kv-overflow",
-                    )
-                growth -= bpt
-            if not cb.resident:
-                if queue or cb.has_work:
-                    state.holdoff[name] = start_s + max(
-                        self.host_overhead_s, 1e-6
-                    )
-                return start_s
-
-        # (4) Modeled time: per-sequence (re)prefills, then one decode
-        # walk of the whole rolling batch.
-        prefills = []  # (inflight, tokens, seconds, layer_spans)
-        prefill_s = 0.0
-        comm_s = 0.0
-        per_device: "list[float] | None" = None
-
-        def merge_pd(pd) -> None:
-            nonlocal per_device
-            if pd:
-                if per_device is None:
-                    per_device = list(pd)
-                else:
-                    per_device = [a + b for a, b in zip(per_device, pd, strict=True)]
-
-        for inflight in cb.resident:
-            if not inflight.needs_prefill:
-                continue
-            request = inflight.request
-            tokens = request.prompt_len + inflight.completed_steps
-            seconds, spans, pd, comm = self._modeled_model_walk(
-                entry, run_policy.bucket_rows(tokens), state, start_s
-            )
-            prefills.append((inflight, tokens, seconds, spans))
-            prefill_s += seconds
-            comm_s += comm
-            merge_pd(pd)
-            inflight.needs_prefill = False
-
-        batch = cb.form_step(
-            batcher.allocate_batch_id(), stack=False,
-            pad_to_k=entry.handle.k,
-        )
-        decode_s, decode_spans, decode_pd, decode_comm = (
-            self._modeled_model_walk(
-                entry, batch.padded_rows, state, start_s
-            )
-        )
-        comm_s += decode_comm
-        merge_pd(decode_pd)
-
-        thrash_s = 0.0
-        if not mem.enforce:
-            projected = mem.resident_bytes + len(cb.resident) * bpt
-            overflow = projected - mem.budget_bytes
-            if overflow > 0:
-                # No memory model: the overflow spills to host memory
-                # and reloads over the host link every step it stays
-                # oversubscribed.
-                thrash_s = overflow / self.host_link_bytes_per_s
-                mem.overflow_steps += 1
-
-        modeled_gpu_s = prefill_s + decode_s + thrash_s
-        finished_s = start_s + modeled_gpu_s + self.host_overhead_s
-        per_device_t = tuple(per_device or ())
-        device_ids = self._phys_devices(entry, state)
-
+    def _launch(self, launch: _Launch, state: _RunState) -> float:
+        """Run a formed launch through the shared tail and return when
+        the GPU frees up: the fault check, then either the failure
+        handler or the numerics and batch advance, one record, one
+        emission, and — after a fault — settling retries, the circuit
+        breaker and model-mode KV.  A faulted launch still holds the
+        GPU for one modeled step (the fault kills it at its first) and
+        advances nothing."""
+        entry, cb, start_s = launch.entry, launch.cb, launch.start_s
         fail_device = self._launch_fault(entry, start_s, state)
         if fail_device is not None:
-            walk_costs = [
-                cost
-                for _, _, _, layer_spans in prefills
-                for _, _, _, cost in layer_spans
-            ] + [cost for _, _, _, cost in decode_spans]
-            step_cost = (
-                sum(c[0] for c in walk_costs),
-                sum(c[1] for c in walk_costs),
-                sum(c[2] for c in walk_costs),
-            )
-            before_ids = {e.request.request_id for e in cb.resident}
-            result = self._failed_step(
-                name, cb, batch, start_s, finished_s, modeled_gpu_s,
-                per_device_t, None, comm_s, joined, preempted,
-                fail_device, device_ids, state, cost=step_cost,
-                gpu=entry.op.gpu.name,
-            )
-            # The failed launch advanced nothing: sequences dropped by
-            # retry exhaustion (or evicted by a death re-shard inside
-            # _note_launch_failed) free their KV, and survivors that
-            # were prefilling this step still need their prefill.
-            survivor_ids = {e.request.request_id for e in cb.resident}
-            for rid in sorted(before_ids - survivor_ids):
-                mem.release_kv(rid, finished_s)
-            for inflight, _, _, _ in prefills:
-                if inflight.request.request_id in survivor_ids:
-                    inflight.needs_prefill = True
-            if tr is not None:
-                tr.metrics.gauge(
-                    "serve_kv_bytes", "resident KV-cache bytes"
-                ).set(float(mem.kv_bytes), model=name)
-            return result
+            launch.steps = 1
+        if cb is None:
+            step_s = launch.cost.seconds + self.host_overhead_s
+            finished_s = start_s + launch.steps * step_s
+        else:
+            finished_s = start_s + launch.cost.seconds + self.host_overhead_s
 
-        self._note_launch_ok(entry, state)
-        state.cb_streak[name] = 0
-
-        # (5) Advance: finished sequences leave (KV freed at step
-        # end), survivors' KV grows by the token they just decoded.
-        finished_entries = cb.advance()
-        for _, inflight in finished_entries:
-            mem.release_kv(inflight.request.request_id, finished_s)
-        for inflight in cb.resident:
-            mem.grow_kv(inflight.request.request_id, bpt, finished_s)
-
-        if tr is not None:
-            keep = tr.sample()
-            if keep:
-                step_span = tr.add_span(
-                    "serve.step", start_s, finished_s,
-                    track="engine", parent=None, keep=True, kind="model",
-                    joined=joined, evicted=len(finished_entries),
-                    preempted=preempted, kv_evicted=kv_evicted,
-                    **batch.trace_attrs(),
+        done: list = []  # (batch index, request, started_s, finished_s)
+        outputs: "list[np.ndarray] | None" = None
+        if fail_device is not None:
+            if cb is not None:
+                self._fail_residents(launch, finished_s, state)
+        else:
+            if state.injector is not None:
+                for device in self._phys_devices(entry, state):
+                    state.breaker_streak[device] = 0
+            if self.execute_numerics:
+                outputs = self._execute_batch(
+                    entry, launch.batch, launch.cost.plan
                 )
-                gpu_name = entry.op.gpu.name
-                offset = start_s
-                for inflight, tokens, seconds, spans in prefills:
-                    span = tr.add_span(
-                        "model.prefill", offset, offset + seconds,
-                        track="gpu", parent=step_span, model=name,
-                        request_id=inflight.request.request_id,
-                        tokens=tokens,
-                    )
-                    prefill_rows = run_policy.bucket_rows(tokens)
-                    for layer_name, layer_off, layer_s, cost in spans:
-                        tr.add_span(
-                            "gpu.launch",
-                            offset + layer_off,
-                            offset + layer_off + layer_s,
-                            track="gpu", parent=span, model=name,
-                            layer=layer_name, rows=prefill_rows,
-                            gpu=gpu_name, flops=cost[0],
-                            ldg_bytes=cost[1], stg_bytes=cost[2],
-                        )
-                    offset += seconds
-                span = tr.add_span(
-                    "model.decode_step", offset, offset + decode_s,
-                    track="gpu", parent=step_span, model=name,
-                    rows=batch.rows,
-                )
-                for layer_name, layer_off, layer_s, cost in decode_spans:
-                    tr.add_span(
-                        "gpu.launch",
-                        offset + layer_off,
-                        offset + layer_off + layer_s,
-                        track="gpu", parent=span, model=name,
-                        layer=layer_name, rows=batch.padded_rows,
-                        gpu=gpu_name, flops=cost[0],
-                        ldg_bytes=cost[1], stg_bytes=cost[2],
-                    )
-                offset += decode_s
-                if thrash_s > 0:
-                    tr.add_span(
-                        "kv.thrash", offset, offset + thrash_s,
-                        track="gpu", parent=step_span, model=name,
-                        overflow_bytes=mem.overflow_bytes,
-                    )
-                if joined:
-                    tr.event(
-                        "cb.join", t_s=start_s, track="engine",
-                        keep=True, model=name, count=joined,
-                    )
-                if preempted:
-                    tr.event(
-                        "cb.preempt", t_s=start_s, track="engine",
-                        keep=True, model=name, count=preempted,
-                    )
-                if finished_entries:
-                    tr.event(
-                        "cb.evict", t_s=finished_s, track="engine",
-                        keep=True, model=name, count=len(finished_entries),
-                    )
+            if cb is None:
+                done = [
+                    (idx, request, start_s, start_s + request.steps * step_s)
+                    for idx, request in enumerate(launch.batch.requests)
+                ]
             else:
-                tr.add_span(
-                    # Dropped trace: nothing recorded, clock still moves.
-                    "serve.step", start_s, finished_s, parent=None,
-                    keep=False,
-                )
-            for _, inflight in finished_entries:
-                self._trace_queue_wait(
-                    tr, inflight.request, inflight.joined_s, "decode",
-                    keep=keep, finished_s=finished_s,
-                )
-            handles = self._launch_metric_cache.get(name)
-            if handles is None:
-                handles = (
-                    self._bm(
-                        "counter", "serve_launches_total",
-                        "batch/step launches", ("model", name),
-                    ),
-                    self._bm(
-                        "histogram", "serve_launch_seconds",
-                        "modeled GPU seconds per launch", ("model", name),
-                    ),
-                )
-                self._launch_metric_cache[name] = handles
-            handles[0].inc()
-            handles[1].observe(modeled_gpu_s)
-            kv_gauge = self._kv_gauge_cache.get(name)
-            if kv_gauge is None:
-                kv_gauge = self._bm(
-                    "gauge", "serve_kv_bytes", "resident KV-cache bytes",
-                    ("model", name),
-                )
-                self._kv_gauge_cache[name] = kv_gauge
-            kv_gauge.set(float(mem.kv_bytes))
+                state.cb_streak[launch.name] = 0
+                for idx, inflight in cb.advance():
+                    done.append(
+                        (idx, inflight.request, inflight.joined_s, finished_s)
+                    )
+                if launch.kind == "model":
+                    # Finished sequences leave (KV freed at step end),
+                    # survivors' KV grows by the token just decoded.
+                    mem = state.memory
+                    bpt = entry.executor.kv_bytes_per_token
+                    for _, request, _, _ in done:
+                        mem.release_kv(request.request_id, finished_s)
+                    for inflight in cb.resident:
+                        mem.grow_kv(
+                            inflight.request.request_id, bpt, finished_s
+                        )
 
-        for _, inflight in finished_entries:
-            metrics.add_request(
-                RequestRecord(
-                    request=inflight.request,
-                    batch_id=batch.batch_id,
-                    started_s=inflight.joined_s,
-                    finished_s=finished_s,
-                    output=None,
-                    retries=state.attempts.get(
-                        inflight.request.request_id, 0
-                    ),
-                )
+        record, requests = self._record(
+            launch, finished_s, done, outputs, fail_device is not None, state
+        )
+        tracing = self.tracer is not None
+        if tracing:
+            self._emit(launch, record, requests, state)
+        if fail_device is not None:
+            finished_s = self._settle_failure(
+                launch, fail_device, finished_s, state
             )
-        metrics.add_step(
-            StepRecord(
-                step_id=batch.batch_id,
-                model=name,
-                n_resident=batch.n_requests,
+        if tracing and launch.kind == "model":
+            self._emit_kv_gauge(launch.name, state.memory)
+        return finished_s
+
+    def _fail_residents(
+        self, launch: _Launch, finished_s: float, state: _RunState
+    ) -> None:
+        """Failure handler of the continuous kinds: every resident
+        sequence burns one attempt; the retry-exhausted ones are
+        evicted (their rows free immediately) and failed, and the
+        model backs off before its next step."""
+        cb = launch.cb
+        dropped = {
+            inflight.request.request_id
+            for inflight in cb.resident
+            if self._burn_attempt(inflight.request, finished_s, state)
+        }
+        if dropped:
+            cb.cancel_where(lambda r: r.request_id in dropped)
+        launch.dropped = tuple(sorted(dropped))
+        res = state.resilience
+        if res is not None:
+            streak = state.cb_streak.get(launch.name, 0) + 1
+            state.cb_streak[launch.name] = streak
+            u = float(state.rng.random())
+            state.holdoff[launch.name] = finished_s + res.backoff_s(
+                min(streak, 6), u
+            )
+            if cb.has_work:
+                launch.retry = (len(cb.resident), streak)
+
+    def _settle_failure(
+        self,
+        launch: _Launch,
+        fail_device: int,
+        finished_s: float,
+        state: _RunState,
+    ) -> float:
+        """After a faulted launch is recorded: retry or fail the
+        dynamic batch's members, advance the circuit breaker, and — in
+        model mode — free the KV of the dropped residents (a death
+        re-shard frees its evictees itself); the launch advanced
+        nothing, so its (re)prefills are still owed.  Returns when the
+        GPU frees up."""
+        if launch.cb is None:
+            for request in launch.batch.requests:
+                self._retry_or_fail(request, finished_s, state)
+        blocked = self._note_launch_failed(fail_device, finished_s, state)
+        if launch.kind == "model":
+            for request_id in launch.dropped:
+                state.memory.release_kv(request_id, finished_s)
+            for inflight, _, _, _ in launch.prefills:
+                inflight.needs_prefill = True
+        return max(finished_s, blocked)
+
+    def _record(
+        self,
+        launch: _Launch,
+        finished_s: float,
+        done: list,
+        outputs: "list[np.ndarray] | None",
+        failed: bool,
+        state: _RunState,
+    ) -> "tuple[BatchRecord | StepRecord, list[RequestRecord]]":
+        """Record one launch: a :class:`RequestRecord` per completed
+        request, then the launch's :class:`BatchRecord` (dynamic) or
+        :class:`StepRecord` (continuous kinds), its modeled times
+        scaled by the steps it held the GPU for."""
+        metrics = state.metrics
+        batch, cost, steps = launch.batch, launch.cost, launch.steps
+        requests = []
+        for idx, request, started_s, done_s in done:
+            record = RequestRecord(
+                request=request,
+                batch_id=batch.batch_id,
+                started_s=started_s,
+                finished_s=done_s,
+                output=None if outputs is None else outputs[idx],
+                retries=state.attempts.get(request.request_id, 0),
+            )
+            metrics.add_request(record)
+            requests.append(record)
+        modeled_gpu_s = steps * cost.seconds
+        per_device_gpu_s = tuple(
+            [steps * s for s in cost.per_device] if steps > 1 else cost.per_device
+        )
+        comm_s = steps * cost.comm_s
+        if launch.cb is None:
+            launch_record = BatchRecord(
+                batch_id=batch.batch_id,
+                model=launch.name,
+                n_requests=batch.n_requests,
                 rows=batch.rows,
                 padded_rows=batch.padded_rows,
-                joined=joined,
-                evicted=len(finished_entries),
-                preempted=preempted,
-                started_s=start_s,
+                started_s=launch.start_s,
                 finished_s=finished_s,
                 modeled_gpu_s=modeled_gpu_s,
-                per_device_gpu_s=per_device_t,
+                per_device_gpu_s=per_device_gpu_s,
                 comm_s=comm_s,
-                prefill_s=prefill_s,
-                thrash_s=thrash_s,
-                kv_evicted=kv_evicted,
-                kv_bytes=mem.kv_bytes,
+                failed=failed,
             )
+            metrics.add_batch(launch_record)
+            return launch_record, requests
+        # A failed model step records like a failed decode step.
+        model_ok = launch.kind == "model" and not failed
+        launch_record = StepRecord(
+            step_id=batch.batch_id,
+            model=launch.name,
+            n_resident=batch.n_requests,
+            rows=batch.rows,
+            padded_rows=batch.padded_rows,
+            joined=launch.joined,
+            evicted=len(launch.dropped) if failed else len(done),
+            preempted=launch.preempted,
+            started_s=launch.start_s,
+            finished_s=finished_s,
+            modeled_gpu_s=modeled_gpu_s,
+            per_device_gpu_s=per_device_gpu_s,
+            comm_s=comm_s,
+            failed=failed,
+            prefill_s=launch.prefill_s if model_ok else 0.0,
+            thrash_s=launch.thrash_s if model_ok else 0.0,
+            kv_evicted=launch.kv_evicted if model_ok else 0,
+            kv_bytes=state.memory.kv_bytes if model_ok else 0,
         )
-        return finished_s
+        metrics.add_step(launch_record)
+        return launch_record, requests
+
+    # ------------------------------------------------------------------
+    # Launch emission (the launch path's only tracer touchpoint)
+    # ------------------------------------------------------------------
+    def _emit(
+        self,
+        launch: _Launch,
+        record: "BatchRecord | StepRecord",
+        requests: "list[RequestRecord]",
+        state: _RunState,
+    ) -> None:
+        """Turn one recorded launch into spans and metrics on the
+        simulated clock: the ``serve.batch``/``serve.step`` root (one
+        head-sampling draw per launch), the ``cb.*`` events, a
+        ``queue.wait`` per completed request, the launch counter and
+        histogram, and the GPU side — one ``gpu.launch`` covering the
+        full modeled busy time (so summed launch durations equal
+        ``ServingMetrics.gpu_busy_s`` exactly) with ``device.compute``
+        and ``comm.*`` children, or, for a model-mode step, one
+        ``gpu.launch`` per layer under ``model.prefill`` /
+        ``model.decode_step`` plus ``kv.thrash``."""
+        tr = self.tracer
+        name, cb, failed = launch.name, launch.cb, record.failed
+        start_s, finished_s = record.started_s, record.finished_s
+        per_layer = launch.kind == "model" and not failed
+        root_name = "serve.batch" if cb is None else "serve.step"
+        keep = tr.sample()
+        if not keep:
+            # Dropped trace: record nothing, still advance the clock.
+            root = tr.add_span(
+                root_name, start_s, finished_s, parent=None, keep=False
+            )
+        else:
+            if cb is None:
+                attrs = {"kind": "prefill", "steps": launch.steps}
+            else:
+                # A failed model step records like a failed decode step.
+                attrs = {
+                    "kind": "model" if per_layer else "decode",
+                    "joined": record.joined,
+                    "evicted": record.evicted,
+                    "preempted": record.preempted,
+                }
+                if per_layer:
+                    attrs["kv_evicted"] = record.kv_evicted
+            if failed:
+                attrs["failed"] = True
+            attrs.update(launch.batch.trace_attrs())
+            root = tr.add_span(
+                root_name, start_s, finished_s,
+                track="engine", parent=None, keep=True, **attrs,
+            )
+            if per_layer:
+                self._emit_walks(tr, root, launch, state.memory)
+            if cb is not None and not failed:
+                if record.joined:
+                    tr.event("cb.join", t_s=start_s, track="engine",
+                             keep=True, model=name, count=record.joined)
+                if record.preempted:
+                    tr.event("cb.preempt", t_s=start_s, track="engine",
+                             keep=True, model=name, count=record.preempted)
+                if record.evicted:
+                    tr.event("cb.evict", t_s=finished_s, track="engine",
+                             keep=True, model=name, count=record.evicted)
+        if cb is not None and failed:
+            # Fault bookkeeping draws its own sampling decisions.
+            if record.evicted:
+                tr.event(
+                    "cb.evict", t_s=finished_s, track="engine",
+                    model=name, count=record.evicted, reason="failed",
+                )
+            if launch.retry is not None:
+                self._trace_event(
+                    "retry.attempt", finished_s, "engine",
+                    ("serve_retries_total", "launch-failure retries",
+                     {"model": name}),
+                    model=name, count=launch.retry[0],
+                    attempt=launch.retry[1],
+                )
+        # Queue wait plus completion bound each request's end-to-end
+        # interval, which the critical-path analyzer decomposes.
+        queue = "prefill" if cb is None else "decode"
+        for done in requests:
+            request, started_s = done.request, done.started_s
+            self._bm(
+                "histogram", "serve_queue_wait_seconds",
+                "queue wait per request", ("queue", queue),
+            ).observe(started_s - request.arrival_s)
+            if not keep:
+                continue
+            tr.add_span(
+                "queue.wait", request.arrival_s, started_s,
+                track="queue", parent=None, keep=True,
+                request_id=request.request_id, model=request.model,
+                priority=request.priority, queue=queue,
+            )
+            tr.event(
+                "request.complete", t_s=done.finished_s, track="queue",
+                keep=True, request_id=request.request_id,
+                model=request.model, priority=request.priority,
+                queue=queue, started_s=started_s,
+                arrival_s=request.arrival_s,
+            )
+        self._bm(
+            "counter", "serve_launches_total", "batch/step launches",
+            ("model", name),
+        ).inc()
+        self._bm(
+            "histogram", "serve_launch_seconds",
+            "modeled GPU seconds per launch", ("model", name),
+        ).observe(record.modeled_gpu_s)
+        if per_layer:
+            return
+        steps, cost = launch.steps, launch.cost
+        launch_end = start_s + steps * cost.seconds
+        if not root.sampled:
+            # The span tree of an unsampled trace is never built.
+            tr.advance(launch_end)
+            return
+        flops, ldg_bytes, stg_bytes = cost.work
+        device_ids = self._phys_devices(launch.entry, state)
+        extra = {"failed": True} if failed else {}
+        gpu_launch = tr.add_span(
+            "gpu.launch", start_s, launch_end,
+            track="gpu", parent=root, model=name, steps=steps, **extra,
+            rows=launch.batch.padded_rows, gpu=launch.entry.op.gpu.name,
+            flops=steps * flops, ldg_bytes=steps * ldg_bytes,
+            stg_bytes=steps * stg_bytes,
+        )
+        for slot, seconds in enumerate(cost.per_device):
+            device = device_ids[slot]
+            tr.add_span(
+                "device.compute", start_s, start_s + steps * seconds,
+                track=f"device{device}", parent=gpu_launch,
+                device=device, model=name,
+            )
+        comm = cost.comm
+        if comm is not None and comm.seconds > 0:
+            # Compute gates the ring, so the collective ends the launch.
+            tr.add_span(
+                f"comm.{comm.collective}",
+                launch_end - steps * comm.seconds, launch_end,
+                track="comm", parent=gpu_launch, model=name,
+                **comm.trace_attrs(),
+            )
+
+    def _emit_walks(
+        self, tr: Tracer, root, launch: _Launch, memory: DeviceMemoryModel
+    ) -> None:
+        """A model step's GPU side: each (re)prefill walk under a
+        ``model.prefill`` span, the decode walk under
+        ``model.decode_step``, one ``gpu.launch`` per layer, then any
+        ``kv.thrash`` — back-to-back from the step's start."""
+        name, batch = launch.name, launch.batch
+        gpu_name = launch.entry.op.gpu.name
+        walks = [
+            ("model.prefill", walk, rows,
+             {"request_id": inflight.request.request_id, "tokens": tokens})
+            for inflight, tokens, rows, walk in launch.prefills
+        ]
+        walks.append(
+            ("model.decode_step", launch.decode, batch.padded_rows,
+             {"rows": batch.rows})
+        )
+        offset = launch.start_s
+        for span_name, walk, rows, attrs in walks:
+            span = tr.add_span(
+                span_name, offset, offset + walk.seconds,
+                track="gpu", parent=root, model=name, **attrs,
+            )
+            for layer_name, layer_off, layer_s, work in walk.spans:
+                tr.add_span(
+                    "gpu.launch",
+                    offset + layer_off,
+                    offset + layer_off + layer_s,
+                    track="gpu", parent=span, model=name,
+                    layer=layer_name, rows=rows, gpu=gpu_name,
+                    flops=work[0], ldg_bytes=work[1], stg_bytes=work[2],
+                )
+            offset += walk.seconds
+        if launch.thrash_s > 0:
+            tr.add_span(
+                "kv.thrash", offset, offset + launch.thrash_s,
+                track="gpu", parent=root, model=name,
+                overflow_bytes=memory.overflow_bytes,
+            )
+
+    def _emit_kv_gauge(self, name: str, memory: DeviceMemoryModel) -> None:
+        """The model's resident KV bytes once a model-mode step — and,
+        after a fault, its KV settling — is done."""
+        self._bm(
+            "gauge", "serve_kv_bytes", "resident KV-cache bytes",
+            ("model", name),
+        ).set(float(memory.kv_bytes))

@@ -1,5 +1,10 @@
 """Unit tests for the bench drivers and their renderers."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.fig10 import render_fig10, run_fig10
@@ -120,3 +125,23 @@ class TestTable1Driver:
     def test_render(self, result):
         text = render_table1(result)
         assert "Table I" in text
+
+
+class TestResilienceBenchSmoke:
+    def test_smoke_leaves_committed_results_alone(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        committed = root / "BENCH_resilience.json"
+        before = committed.read_bytes()
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        try:
+            done = subprocess.run(
+                [sys.executable, "benchmarks/bench_resilience.py", "--smoke"],
+                cwd=root, env=env, capture_output=True, text=True,
+                check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            assert "no JSON write" in done.stdout
+            assert committed.read_bytes() == before
+        finally:
+            if committed.read_bytes() != before:
+                committed.write_bytes(before)

@@ -27,6 +27,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.serve.loadgen import generate_requests
 from repro.serve.scenarios import LlamaServingScenario
 from repro.sparsity.config import NMPattern
 from repro.workloads.synthetic import random_dense
@@ -456,6 +457,35 @@ class TestServingTrace:
         )
         server, _ = scenario.build_server()
         assert server.tracer is None
+
+    def test_swapped_tracer_gets_every_launch_metric(self):
+        """A server whose tracer is replaced between runs records the
+        second run's metrics into the new registry, not the first."""
+        scenario = LlamaServingScenario(
+            qps=300.0, duration_s=0.05, execute_numerics=False, seed=7,
+            continuous=True, decode_fraction=0.5, tracer=Tracer(),
+        )
+        server, sources = scenario.build_server()
+        trace = generate_requests(
+            sources, scenario.qps, scenario.duration_s, seed=7,
+            synthesize_activations=False,
+        )
+        first = server.simulate(trace)
+        server.tracer = Tracer()
+        second = server.simulate(trace)
+        registry = server.tracer.metrics
+        for name in (
+            "serve_launches_total", "serve_launch_seconds",
+            "serve_queue_wait_seconds", "serve_plan_cache_total",
+            "serve_requests_admitted_total",
+        ):
+            assert name in registry, name
+        launches = sum(
+            value for _, value in registry.get("serve_launches_total").samples()
+        )
+        metrics = second.metrics
+        assert launches == len(metrics.batch_records) + len(metrics.step_records)
+        assert len(first.metrics.step_records) > 0
 
 
 # ---------------------------------------------------------------------------

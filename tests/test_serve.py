@@ -843,6 +843,20 @@ class TestServeSimCLI:
             main(["serve-sim", "--scale", "0", "--duration", "0.1"])
         assert "scale must be >= 1" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-batch-rows", "0"),
+            ("--max-batch-requests", "0"),
+            ("--max-wait-ms", "-1"),
+        ],
+    )
+    def test_bad_batching_flag_exits_cleanly(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-sim", "--duration", "0.1", flag, value])
+        assert str(exc.value).startswith("serve-sim: ")
+        assert "\n" not in str(exc.value)
+
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "serve.json"
         assert (
