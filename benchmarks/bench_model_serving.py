@@ -44,8 +44,10 @@ kv-aware run's byte ledger reconciles — resident ≤ budget at every
 recorded event and zero leaked KV after drain.
 
 Run standalone (``python benchmarks/bench_model_serving.py``, add
-``--smoke`` for the short no-write CI variant) or under
-pytest-benchmark (``pytest benchmarks/bench_model_serving.py``).
+``--smoke`` for the short no-write CI variant, or ``--out PATH`` to
+write the full run somewhere other than the committed file — CI diffs
+such a run against the committed baseline) or under pytest-benchmark
+(``pytest benchmarks/bench_model_serving.py``).
 """
 
 from __future__ import annotations
@@ -175,9 +177,12 @@ def check_acceptance(result: dict) -> "str | None":
     return None
 
 
-def write_results(result: dict) -> pathlib.Path:
-    OUTPUT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return OUTPUT_PATH
+def write_results(
+    result: dict, path: "pathlib.Path | None" = None
+) -> pathlib.Path:
+    path = OUTPUT_PATH if path is None else path
+    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def render_results(result: dict) -> str:
@@ -246,11 +251,16 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="short runs, no JSON write, no acceptance gate (CI rot check)",
     )
+    parser.add_argument(
+        "--out", default=None, metavar="PATH",
+        help=f"output path of a full run (default {OUTPUT_PATH})",
+    )
     args = parser.parse_args(argv)
     result = run_model_serving_bench(smoke=args.smoke)
     print(render_results(result))
     if not args.smoke:
-        print(f"\nwrote {write_results(result)}")
+        out = pathlib.Path(args.out) if args.out else None
+        print(f"\nwrote {write_results(result, out)}")
         failure = check_acceptance(result)
         if failure is not None:
             print(f"FAIL: {failure}")

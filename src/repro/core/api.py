@@ -23,7 +23,12 @@ from repro.backends import (
 from repro.backends.registry import deprecated_execute_backends
 from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.versions import OptimizationVersion
-from repro.errors import ConfigurationError, PlanError, ShapeError
+from repro.errors import (
+    CompressionError,
+    ConfigurationError,
+    PlanError,
+    ShapeError,
+)
 from repro.gpu.catalog import resolve_gpu
 from repro.gpu.spec import GPUSpec
 from repro.kernels.blocked import KernelTrace
@@ -211,9 +216,19 @@ class NMSpMM:
         """Prune (unless ``already_pruned``) and compress the weights.
 
         Returns a :class:`SparseHandle` reusable across many
-        :meth:`execute` calls — the paper's offline phase.
+        :meth:`execute` calls — the paper's offline phase.  Raises
+        :class:`~repro.errors.CompressionError` on NaN or infinite
+        weights, whose magnitude prune (and so the mask) is undefined.
         """
         b = as_f32(check_matrix("b", b))
+        # min/max propagate NaN and surface +-inf without a temporary
+        # the size of the weights.
+        if b.size and not (np.isfinite(b.min()) and np.isfinite(b.max())):
+            bad = np.argwhere(~np.isfinite(b))
+            raise CompressionError(
+                f"weights hold {len(bad)} non-finite value(s) (NaN or "
+                f"inf); first at index {tuple(int(i) for i in bad[0])}"
+            )
         logical_k, logical_n = b.shape
         if already_pruned:
             compressed = compress(self.pattern, b)

@@ -17,6 +17,7 @@ built at most once per block shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.api import NMSpMM, SparseHandle
 from repro.core.plan import ExecutionPlan
@@ -75,7 +76,7 @@ class PlanCache:
         ``plan_cache.hit``/``plan_cache.miss`` events (see
         ``InferenceServer._cached_plan``), so the cache itself stays
         observability-free."""
-        key = (model, m, op.gpu.name, op.version.value)
+        key = self.key(model, op, m)
 
         def build() -> PlanEntry:
             # Deliberately NOT handle-level caching (use_cache): this
@@ -94,6 +95,23 @@ class PlanCache:
             return PlanEntry(plan=plan, report=plan.simulate(), trace=trace)
 
         return self._lru.get_or_build(key, build)
+
+    @staticmethod
+    def key(model: str, op: NMSpMM, m: int) -> tuple:
+        """The cache key of an ``m``-row launch of ``model``."""
+        return (model, m, op.gpu.name, op.version.value)
+
+    def touch(self, keys: Sequence[tuple]) -> None:
+        """Replay a hit on each of ``keys`` (cached keys, in lookup
+        order): the stats and LRU recency the same :meth:`lookup`
+        calls would leave."""
+        self._lru.touch(keys)
+
+    @property
+    def generation(self) -> int:
+        """Bumped on every eviction and clear (see
+        :class:`~repro.utils.cache.LRUCache`)."""
+        return self._lru.generation
 
     @property
     def stats(self) -> CacheStats:

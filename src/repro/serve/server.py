@@ -163,7 +163,8 @@ class ModelEntry:
 
 @dataclass
 class _RunState:
-    """Chaos/resilience state of one ``simulate()`` call.
+    """Chaos/resilience state and the walk memo of one ``simulate()``
+    call.
 
     Everything fault-related is run-local: the injector is rebuilt (and
     its seeded stream rewound) per run, re-sharded model entries live in
@@ -208,6 +209,12 @@ class _RunState:
     #: The run's model -> ContinuousBatcher map (device-death handling
     #: must evict model-mode residents outside the step path).
     continuous: "dict | None" = None
+    #: Walk memo of :meth:`InferenceServer._cost`: ``(id of the first
+    #: walked entry, entries walked, padded_rows) -> (cost, lookups,
+    #: touches)``.  Valid only while ``walks_generation`` still equals
+    #: the plan caches' summed generation (no eviction or clear since).
+    walks: dict = field(default_factory=dict)
+    walks_generation: int = 0
 
 
 @dataclass(eq=False, slots=True)
@@ -842,21 +849,30 @@ class InferenceServer:
         tr.advance(t_s)
         hits_before = cache.stats.hits
         plan_entry = cache.lookup(entry.name, entry.op, handle, padded_rows)
-        outcome = "hit" if cache.stats.hits > hits_before else "miss"
+        self._trace_lookup(
+            device, entry.name, padded_rows, cache.stats.hits > hits_before
+        )
+        return plan_entry
+
+    def _trace_lookup(
+        self, device: int, model: str, padded_rows: int, hit: bool
+    ) -> None:
+        """The counter and (sampled) event of one plan-cache lookup."""
+        outcome = "hit" if hit else "miss"
         self._bm(
             "counter", "serve_plan_cache_total",
             "plan-cache lookups by outcome", ("outcome", outcome),
         ).inc()
+        tr = self.tracer
         if tr.sample():  # skip attr building on dropped traces
             tr.event(
                 f"plan_cache.{outcome}",
                 track="engine",
-                model=entry.name,
+                model=model,
                 padded_rows=padded_rows,
                 device=device,
                 keep=True,
             )
-        return plan_entry
 
     def _cost(
         self,
@@ -868,6 +884,16 @@ class InferenceServer:
         """Model launching ``entries`` back-to-back at ``padded_rows``
         rows from ``t_s``: one entry for a dynamic batch or continuous
         step, every layer of the stack for a model-mode walk.
+
+        Without a fault injector the cost is a pure function of the
+        entries and the row count, so a run memoises each walk in
+        ``state.walks`` (the offline/online split: the walk is paid
+        once per geometry, each step only replays it).  A memo hit
+        replays the walk's plan-cache lookups as hits in walk order —
+        the stats, LRU recency and trace events the full walk would
+        leave — and is trusted only while no plan cache has evicted or
+        cleared since the fill; otherwise the full walk runs and
+        refills the memo.
 
         Single-device entries look up one plan in their device's
         cache (the plan is kept for the numerics path).  Distributed
@@ -886,11 +912,22 @@ class InferenceServer:
         a slowdown on one device gates the whole tensor-parallel
         launch, exactly as the topology model prescribes."""
         injector = state.injector
+        if injector is None:
+            generation = sum(cache.generation for cache in self.plan_caches)
+            if generation != state.walks_generation:
+                state.walks.clear()
+                state.walks_generation = generation
+            memo_key = (id(entries[0]), len(entries), padded_rows)
+            memo = state.walks.get(memo_key)
+            if memo is not None:
+                return self._replay_walk(*memo, t_s)
+        lookups = []  # (device, plan-cache key) in walk order
         total = comm_total = 0.0
         per_device_total: "list[float]" = []
         spans = []
         plan = comm = None
         for entry in entries:
+            key = PlanCache.key(entry.name, entry.op, padded_rows)
             if entry.distributed:
                 phys = self._phys_devices(entry, state)
                 per_device = []
@@ -900,6 +937,7 @@ class InferenceServer:
                     plan_entry = self._cached_plan(
                         device, entry, shard.handle, padded_rows, t_s
                     )
+                    lookups.append((device, key))
                     seconds = plan_entry.modeled_seconds
                     if injector is not None:
                         seconds *= injector.device_factor(device, t_s)
@@ -923,6 +961,7 @@ class InferenceServer:
                 plan_entry = self._cached_plan(
                     device, entry, entry.handle, padded_rows, t_s
                 )
+                lookups.append((device, key))
                 seconds = plan_entry.modeled_seconds
                 if injector is not None:
                     seconds *= injector.device_factor(device, t_s)
@@ -930,9 +969,43 @@ class InferenceServer:
                 plan = plan_entry.plan
             spans.append((entry.name, total, seconds, work))
             total += seconds
-        return _Cost(
+        cost = _Cost(
             total, per_device_total, comm if len(entries) == 1 else None,
             comm_total, spans, plan,
+        )
+        if injector is None:
+            touches: dict = {}
+            for device, key in lookups:
+                touches.setdefault(device, []).append(key)
+            state.walks[memo_key] = (
+                _Cost(
+                    cost.seconds, tuple(per_device_total), cost.comm,
+                    comm_total, tuple(spans), plan,
+                ),
+                tuple(lookups),
+                tuple(touches.items()),
+            )
+        return cost
+
+    def _replay_walk(
+        self, cost: _Cost, lookups: tuple, touches: tuple, t_s: float
+    ) -> _Cost:
+        """A memoised walk's cost, after replaying its plan-cache
+        lookups as the hits the full walk at ``t_s`` would have made
+        (untraced: per device, in walk order; traced: one lookup at a
+        time, each with its counter and sampled event)."""
+        tr = self.tracer
+        if tr is None:
+            for device, keys in touches:
+                self.plan_caches[device].touch(keys)
+        else:
+            for device, key in lookups:
+                tr.advance(t_s)
+                self.plan_caches[device].touch((key,))
+                self._trace_lookup(device, key[0], key[1], True)
+        return _Cost(
+            cost.seconds, list(cost.per_device), cost.comm, cost.comm_s,
+            list(cost.spans), cost.plan,
         )
 
     def _execute_batch(self, entry: ModelEntry, batch, plan) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 
@@ -59,7 +59,12 @@ class CacheStats:
 
 
 class LRUCache:
-    """A bounded LRU with stats (least-recently-*used* eviction)."""
+    """A bounded LRU with stats (least-recently-*used* eviction).
+
+    ``generation`` counts the times a key left the cache (an eviction
+    or a clear): while it is unchanged, every key seen since is still
+    cached, which is what lets a caller replay known hits with
+    :meth:`touch`."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -68,6 +73,7 @@ class LRUCache:
             )
         self.capacity = capacity
         self.stats = CacheStats()
+        self.generation = 0
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -85,6 +91,15 @@ class LRUCache:
         self.stats.misses += 1
         return None
 
+    def touch(self, keys: Sequence[Hashable]) -> None:
+        """Replay a hit on each of ``keys`` in order — the stats and
+        recency :meth:`get` would leave — without returning values.
+        Every key must be cached (see ``generation``)."""
+        move_to_end = self._data.move_to_end
+        for key in keys:
+            move_to_end(key)
+        self.stats.hits += len(keys)
+
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh a value, evicting the least recently used
         entry past capacity."""
@@ -94,6 +109,7 @@ class LRUCache:
         if len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.stats.evictions += 1
+            self.generation += 1
 
     def get_or_build(self, key: Hashable, build: Callable[[], V]) -> V:
         """Return the cached value, building (and possibly evicting) on
@@ -106,3 +122,4 @@ class LRUCache:
 
     def clear(self) -> None:
         self._data.clear()
+        self.generation += 1

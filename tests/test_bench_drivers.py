@@ -145,3 +145,33 @@ class TestResilienceBenchSmoke:
         finally:
             if committed.read_bytes() != before:
                 committed.write_bytes(before)
+
+
+class TestModelServingBenchOut:
+    def test_out_leaves_committed_results_alone(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        committed = root / "BENCH_model_serving.json"
+        before = committed.read_bytes()
+        out = tmp_path / "BENCH_model_serving.json"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        try:
+            done = subprocess.run(
+                [sys.executable, "benchmarks/bench_model_serving.py",
+                 "--out", str(out)],
+                cwd=root, env=env, capture_output=True, text=True,
+                check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            assert f"wrote {out}" in done.stdout
+            assert committed.read_bytes() == before
+            diff = subprocess.run(
+                [sys.executable, "-m", "repro", "bench", "diff",
+                 str(committed), str(out)],
+                cwd=root, env=env, capture_output=True, text=True,
+                check=False,
+            )
+            assert diff.returncode == 0, diff.stdout
+            assert "all metrics identical" in diff.stdout
+        finally:
+            if committed.read_bytes() != before:
+                committed.write_bytes(before)

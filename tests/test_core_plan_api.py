@@ -7,7 +7,7 @@ from repro.core.api import NMSpMM, nm_spmm
 from repro.core.pipeline_design import design_pipeline
 from repro.core.plan import build_plan
 from repro.core.strategy import LoadStrategy
-from repro.errors import PlanError, ShapeError
+from repro.errors import CompressionError, PlanError, ShapeError
 from repro.kernels.blocked import KernelTrace
 from repro.sparsity.config import NMPattern
 from repro.workloads.synthetic import random_dense
@@ -130,6 +130,20 @@ class TestNMSpMMFacade:
         handle = op.prepare(pruned, already_pruned=True)
         out = op.execute(a, handle)
         np.testing.assert_allclose(out, a @ pruned, rtol=2e-5, atol=2e-5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("already_pruned", [False, True])
+    def test_non_finite_weights_rejected(self, rng, bad, already_pruned):
+        op = NMSpMM(NMPattern(2, 8, vector_length=4))
+        b = random_dense(64, 64, rng)
+        b[3, 5] = bad
+        b[40, 1] = bad
+        with pytest.raises(CompressionError) as info:
+            op.prepare(b, already_pruned=already_pruned)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "2 non-finite" in message
+        assert "first at index (3, 5)" in message
 
     def test_short_a_rejected(self, op_and_data):
         op, a, b = op_and_data

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.obs import Tracer
+from repro.serve.cache import PlanCache
 from repro.serve.loadgen import TrafficSource, generate_requests
+from repro.serve.metrics import ServingMetrics
 from repro.serve.model_exec import (
     DeviceMemoryModel,
     ModelServingScenario,
@@ -145,6 +147,95 @@ class TestEndToEnd:
         assert first == second
         assert first["resilience"]["reshards"] == 1
         assert first["memory"]["budget_shrinks"] == 1
+
+
+class TestWalkMemo:
+    """The per-run memo behind ``InferenceServer._cost``: a hit is the
+    full walk's cost, replayed as plan-cache hits, and never aliases
+    the memoised value."""
+
+    ROWS = 16
+
+    def _server(self, **overrides):
+        server, _ = long_context_summarization(
+            duration_s=0.1, devices=2, **overrides
+        ).build_server()
+        return server, server.model(server.model_names[0])
+
+    @staticmethod
+    def _state(server):
+        return server._new_run_state(ServingMetrics(submitted=0))
+
+    @staticmethod
+    def _fields(cost):
+        return (
+            cost.seconds, list(cost.per_device), cost.comm, cost.comm_s,
+            list(cost.spans), cost.plan,
+        )
+
+    def test_hit_equals_fresh_walk(self, monkeypatch):
+        server, entry = self._server()
+        state = self._state(server)
+        server._cost(entry.layers, self.ROWS, state, 0.0)  # fill
+        lookups = []
+        lookup = PlanCache.lookup
+        monkeypatch.setattr(
+            PlanCache, "lookup",
+            lambda cache, *args: lookups.append(args) or lookup(cache, *args),
+        )
+        before = [cache.stats.snapshot() for cache in server.plan_caches]
+        hit = server._cost(entry.layers, self.ROWS, state, 0.0)
+        assert lookups == []
+        for cache, snapshot in zip(server.plan_caches, before):
+            delta = cache.stats.since(snapshot)
+            assert (delta.hits, delta.misses) == (len(entry.layers), 0)
+        fresh = server._cost(entry.layers, self.ROWS, self._state(server), 0.0)
+        assert len(lookups) == len(entry.layers) * server.devices
+        assert len(hit.per_device) == server.devices
+        assert self._fields(hit) == self._fields(fresh)
+
+    def test_merge_into_hit_leaves_memo_alone(self):
+        server, entry = self._server()
+        state = self._state(server)
+        fill = server._cost(entry.layers, self.ROWS, state, 0.0)
+        expected = self._fields(fill)
+        fill.merge(server._cost(entry.layers, 2 * self.ROWS, state, 0.0))
+        hit = server._cost(entry.layers, self.ROWS, state, 0.0)
+        assert self._fields(hit) == expected
+        hit.merge(server._cost(entry.layers, 2 * self.ROWS, state, 0.0))
+        hit.per_device[0] += 1.0
+        again = server._cost(entry.layers, self.ROWS, state, 0.0)
+        assert self._fields(again) == expected
+
+    def test_eviction_forces_the_full_walk(self, monkeypatch):
+        fresh_server, fresh_entry = self._server()
+        fresh = fresh_server._cost(
+            fresh_entry.layers, self.ROWS, self._state(fresh_server), 0.0
+        )
+        server, entry = self._server(
+            plan_cache_capacity=len(fresh_entry.layers) + 1
+        )
+        state = self._state(server)
+        server._cost(entry.layers, self.ROWS, state, 0.0)  # fill
+        # Two one-layer walks at another row count overflow the cache
+        # by one key: the memoised walk's first layer is evicted.
+        for layer in entry.layers[:2]:
+            server._cost((layer,), 2 * self.ROWS, state, 0.0)
+        cache = server.plan_caches[0]
+        assert cache.stats.evictions == 1
+        lookups = []
+        lookup = PlanCache.lookup
+        monkeypatch.setattr(
+            PlanCache, "lookup",
+            lambda cache, *args: lookups.append(args) or lookup(cache, *args),
+        )
+        misses = cache.stats.misses
+        walk = server._cost(entry.layers, self.ROWS, state, 0.0)
+        assert len(lookups) == len(entry.layers) * server.devices
+        assert cache.stats.misses > misses
+        assert (walk.seconds, walk.per_device, walk.spans) == (
+            fresh.seconds, fresh.per_device, fresh.spans
+        )
 
 
 class TestObsIntegration:

@@ -282,6 +282,31 @@ class TestLRUCache:
         cache.put("c", 3)  # evicts "b", the least recently used
         assert "a" in cache and "b" not in cache and "c" in cache
 
+    def test_touch_replays_hits(self):
+        replayed, looked_up = LRUCache(3), LRUCache(3)
+        for cache in (replayed, looked_up):
+            for key in "abc":
+                cache.put(key, key)
+        replayed.touch(["a", "b"])
+        looked_up.get("a")
+        looked_up.get("b")
+        assert replayed.stats == looked_up.stats
+        assert replayed.stats.hits == 2
+        for cache in (replayed, looked_up):
+            cache.put("d", "d")  # evicts "c", the least recently used
+        assert "c" not in replayed and "a" in replayed
+
+    def test_generation_counts_removals(self):
+        cache = LRUCache(1)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.put("a", 2)
+        assert cache.generation == 0
+        cache.put("b", 2)  # evicts "a"
+        assert cache.generation == 1
+        cache.clear()
+        assert cache.generation == 2
+
 
 class TestPlanCache:
     @pytest.fixture

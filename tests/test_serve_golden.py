@@ -7,6 +7,12 @@ reduced to one sha256 over the report summary, the Chrome trace, and
 the Prometheus text.  A refactor of the engine must leave every digest
 unchanged: the summary, every span and event (ids, order, attributes),
 the sampled-trace draws, and every metric series.
+
+Three more runs pin the untraced summary alone, where no tracer is
+attached: model mode at the default plan-cache capacity and at one
+small enough to evict (so the pin covers LRU order and the plan-cache
+counters under eviction), and a single-layer 2-device column-sharded
+continuous run.
 """
 
 import hashlib
@@ -102,4 +108,45 @@ def test_serving_output_is_pinned(name):
         + json.dumps(chrome_trace(tracer), sort_keys=True)
         + prometheus_text(tracer.metrics)
     )
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _model_untraced():
+    return long_context_summarization(duration_s=0.5)
+
+
+def _model_untraced_evicting():
+    return long_context_summarization(duration_s=0.5, plan_cache_capacity=16)
+
+
+def _continuous_sharded_untraced():
+    return _layer(
+        continuous=True, decode_fraction=0.5, devices=2, shard="column",
+    )
+
+
+# name -> (scenario factory, whether the plan cache must evict, sha256
+# of the summary)
+GOLDEN_UNTRACED = {
+    "model": (
+        _model_untraced, False,
+        "6a7d85260dbcd25f8f7de4ce39d09c62875126aea3b2a9db6b3268dbf9b82372",
+    ),
+    "model-evicting": (
+        _model_untraced_evicting, True,
+        "32c11c73b8459308a17764653f21f67e0dd6fd9f942d5f8bead6ae1c5d46101d",
+    ),
+    "continuous-sharded": (
+        _continuous_sharded_untraced, False,
+        "a3f93fe9452044a9378aeb1a7c1c11f279ae7000fe78b5713083e5f80e807402",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_UNTRACED))
+def test_untraced_summary_is_pinned(name):
+    factory, evicts, digest = GOLDEN_UNTRACED[name]
+    summary = factory().run().summary()
+    assert (summary["plan_cache"]["evictions"] > 0) == evicts
+    blob = json.dumps(summary, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
