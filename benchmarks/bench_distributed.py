@@ -18,31 +18,21 @@ shard shapes, and the collectives by the ring formulas of
 
 Writes ``BENCH_distributed.json`` at the repo root (schema
 ``nm-spmm/distributed-bench/v1``) so the distributed trajectory
-accrues across PRs.  Acceptance (asserted here and in the pytest
-path): on the large Llama shape, 4-device column-parallel must model
-below 0.5x the single-device latency.
-
-Run standalone (``python benchmarks/bench_distributed.py``, ``--smoke``
-for the CI-sized subset that skips the JSON write) or under
-pytest-benchmark (``pytest benchmarks/bench_distributed.py``).
+accrues across PRs.  Acceptance (full runs): on the large Llama shape,
+4-device column-parallel must model below 0.5x the single-device
+latency.  ``--smoke`` runs one shape on 1-2 devices; see
+:mod:`harness` for the CLI, the write policy and the pytest entry.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
+import harness
 
 from repro.core.plan import build_plan
 from repro.distributed import DeviceGroup, modeled_shape_step
 from repro.sparsity.config import NMPattern
-from repro.utils.benchmeta import bench_meta
 from repro.utils.tables import TextTable
 from repro.workloads.llama import llama_layer_shape
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_distributed.json"
-SCHEMA = "nm-spmm/distributed-bench/v1"
 
 GPU = "A100"
 LINK = "nvlink"
@@ -154,27 +144,20 @@ def run_config(
     }
 
 
-def run_distributed_bench(
-    *, smoke: bool = False, generated_at: "str | None" = None
-) -> dict:
+def run(smoke: bool) -> tuple:
     shapes = SMOKE_SHAPES if smoke else SHAPES
     device_counts = SMOKE_DEVICE_COUNTS if smoke else DEVICE_COUNTS
     crossover_m = SMOKE_CROSSOVER_M if smoke else CROSSOVER_M
-    return {
-        "schema": SCHEMA,
-        "meta": bench_meta(
-            SCHEMA,
-            config={
-                "gpu": GPU,
-                "link": LINK,
-                "pattern": PATTERN.label(),
-                "shapes": [list(s) for s in shapes],
-                "device_counts": list(device_counts),
-                "crossover_m": list(crossover_m),
-                "scaling_m": SCALING_M,
-            },
-            generated_at=generated_at,
-        ),
+    config = {
+        "gpu": GPU,
+        "link": LINK,
+        "pattern": PATTERN.label(),
+        "shapes": [list(s) for s in shapes],
+        "device_counts": list(device_counts),
+        "crossover_m": list(crossover_m),
+        "scaling_m": SCALING_M,
+    }
+    return config, None, {
         "gpu": GPU,
         "link": LINK,
         "pattern": PATTERN.label(),
@@ -189,12 +172,7 @@ def run_distributed_bench(
     }
 
 
-def write_results(result: dict) -> pathlib.Path:
-    OUTPUT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return OUTPUT_PATH
-
-
-def render_results(result: dict) -> str:
+def render(result: dict) -> str:
     table = TextTable(
         ["config", "mode", "devices", "modeled ms", "comm %", "speedup", "eff"],
         title="distributed strong scaling (modeled, "
@@ -232,64 +210,48 @@ def render_results(result: dict) -> str:
     return "\n".join(lines)
 
 
-def check_acceptance(result: dict) -> "str | None":
-    """The tentpole bar: 4-device column-parallel below half the
-    single-device latency on the large Llama shape — or a reason
-    string when the data misses it (None = pass, or not measured in
-    smoke mode)."""
-    by_name = {c["name"]: c for c in result["configs"]}
-    config = by_name.get(LARGE_SHAPE)
-    if config is None:
-        return None  # smoke subset
-    point = config["scaling"]["column"].get("4")
-    if point is None:
-        return None
-    ratio = point["seconds"] / config["single_device_s"]
-    if ratio >= 0.5:
-        return (
-            f"4-device column-parallel models {ratio:.2f}x the "
-            f"single-device latency on {LARGE_SHAPE} (bar: < 0.5x)"
-        )
-    return None
-
-
-def test_bench_distributed(benchmark, emit):
-    result = benchmark.pedantic(run_distributed_bench, rounds=1, iterations=1)
-    path = write_results(result)
-    emit("distributed", render_results(result) + f"\n\nwrote {path}")
-
-    assert result["schema"] == SCHEMA
-    assert len(result["configs"]) == len(SHAPES)
-    for config in result["configs"]:
+def checks(result: dict, smoke: bool) -> list[str]:
+    if smoke:
+        return []
+    configs = result["configs"]
+    bars = [(len(configs) == len(SHAPES), f"{len(configs)} configs")]
+    for config in configs:
+        name = config["name"]
         for mode in ("column", "row"):
-            assert set(config["scaling"][mode]) == {
-                str(d) for d in DEVICE_COUNTS
-            }
-            for point in config["scaling"][mode].values():
-                assert point["seconds"] > 0
-                assert 0 <= point["comm_fraction"] <= 1
-        assert len(config["crossover"]["points"]) == len(CROSSOVER_M)
-    assert check_acceptance(result) is None
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="one shape, 2 devices, no JSON write (CI rot check)",
+            points = config["scaling"][mode]
+            bars += [
+                (set(points) == {str(d) for d in DEVICE_COUNTS},
+                 f"{name} {mode}: device counts {sorted(points)}"),
+                (all(p["seconds"] > 0 for p in points.values()),
+                 f"{name} {mode}: a non-positive modeled time"),
+                (all(0 <= p["comm_fraction"] <= 1 for p in points.values()),
+                 f"{name} {mode}: a comm fraction outside [0, 1]"),
+            ]
+        bars.append(
+            (len(config["crossover"]["points"]) == len(CROSSOVER_M),
+             f"{name}: {len(config['crossover']['points'])} crossover points")
+        )
+    # The acceptance bar: 4-device column-parallel below half the
+    # single-device latency on the large Llama shape.
+    large = harness.named(configs, LARGE_SHAPE)
+    ratio = large["scaling"]["column"]["4"]["seconds"] / large["single_device_s"]
+    bars.append(
+        (ratio < 0.5,
+         f"4-device column-parallel models {ratio:.2f}x the single-device "
+         f"latency on {LARGE_SHAPE} (bar: < 0.5x)")
     )
-    args = parser.parse_args(argv)
-    result = run_distributed_bench(smoke=args.smoke)
-    print(render_results(result))
-    if not args.smoke:
-        print(f"\nwrote {write_results(result)}")
-        failure = check_acceptance(result)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            return 1
-    return 0
+    return [message for ok, message in bars if not ok]
 
+
+BENCH = harness.Bench(
+    name="distributed",
+    schema="nm-spmm/distributed-bench/v1",
+    output="BENCH_distributed.json",
+    run=run,
+    render=render,
+    checks=checks,
+)
+test_bench_distributed = harness.pytest_case(BENCH)
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

@@ -33,18 +33,15 @@ Schema (``nm-spmm/kernel-bench/v1``)::
 backends are comparable on one axis; sparse backends do ``N/M`` of that
 useful work.
 
-Run standalone (``python benchmarks/bench_kernel_backends.py``,
-``--smoke`` for the CI-sized grid that skips the JSON write) or under
-pytest-benchmark (``pytest benchmarks/bench_kernel_backends.py``).
+``--smoke`` runs a tiny grid with one repeat and checks nothing; see
+:mod:`harness` for the CLI, the write policy and the pytest entry.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import time
 
+import harness
 import numpy as np
 
 from repro.backends import available_backends
@@ -59,12 +56,7 @@ from repro.sparsity.colinfo import preprocess_offline
 from repro.sparsity.compress import compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.pruning import prune_dense
-from repro.utils.benchmeta import bench_meta
 from repro.utils.tables import TextTable
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_kernels.json"
-SCHEMA = "nm-spmm/kernel-bench/v1"
 
 #: (name, (m, n, k)) — medium matches ``bench_functional_kernels``, the
 #: shape the tentpole's >=5x fast-vs-blocked target is measured on.
@@ -231,11 +223,8 @@ def run_config(
     }
 
 
-def run_kernel_bench(
-    *, smoke: bool = False, generated_at: "str | None" = None
-) -> dict:
-    """Run the full grid (or the CI smoke slice) and return the
-    schema-shaped result."""
+def run(smoke: bool) -> tuple:
+    """Run the full grid (or the CI smoke slice)."""
     shapes = SMOKE_SHAPES if smoke else SHAPES
     repeats = 1 if smoke else 5
     configs = [
@@ -253,28 +242,16 @@ def run_kernel_bench(
                 repeats=repeats,
             )
         )
-    return {
-        "schema": SCHEMA,
-        "meta": bench_meta(
-            SCHEMA,
-            config={
-                "shapes": [[name, list(shape)] for name, shape in shapes],
-                "patterns": [p.label() for p in PATTERNS],
-                "repeats": repeats,
-                "funcbench": not smoke,
-            },
-            generated_at=generated_at,
-        ),
-        "configs": configs,
+    config = {
+        "shapes": [[name, list(shape)] for name, shape in shapes],
+        "patterns": [p.label() for p in PATTERNS],
+        "repeats": repeats,
+        "funcbench": not smoke,
     }
+    return config, None, {"configs": configs}
 
 
-def write_results(result: dict) -> pathlib.Path:
-    OUTPUT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return OUTPUT_PATH
-
-
-def render_results(result: dict) -> str:
+def render(result: dict) -> str:
     # Column order: dense baseline first, then the union of measured
     # backends across all configs in first-seen order (a registry row
     # may be skipped on some configs but measured on others).
@@ -312,103 +289,71 @@ def render_results(result: dict) -> str:
     return table.render()
 
 
-def test_bench_kernel_backends(benchmark, emit):
-    result = benchmark.pedantic(run_kernel_bench, rounds=1, iterations=1)
-    path = write_results(result)
-    emit("kernel_backends", render_results(result) + f"\n\nwrote {path}")
-
-    assert result["schema"] == SCHEMA
-    assert len(result["configs"]) == len(SHAPES) * len(PATTERNS) + 1
-    for config in result["configs"]:
-        # The builtin registry rows must be present alongside the raw
-        # baselines (they always support these requests and meet
-        # float32 tolerance); third-party registrations may be skipped
-        # with a note, so they are deliberately not asserted here.
-        for builtin in BUILTIN_BACKENDS:
-            assert builtin in config["backends"]
-        for entry in config["backends"].values():
-            assert entry["seconds"] > 0
-            assert entry["gflops"] > 0
-    by_name = {c["name"]: c for c in result["configs"]}
-    # The PR-2 headline: fast must beat the structural blocked executor
+def checks(result: dict, smoke: bool) -> list[str]:
+    if smoke:
+        return []
+    configs = result["configs"]
+    want = len(SHAPES) * len(PATTERNS) + 1
+    bars = [(len(configs) == want, f"{len(configs)} configs, want {want}")]
+    for config in configs:
+        name, backends = config["name"], config["backends"]
+        overhead = config["fast_facade_overhead"]
+        bars += [
+            # The builtin registry rows always support these requests
+            # and meet float32 tolerance; third-party registrations may
+            # be skipped with a note, so they are not checked.
+            (all(b in backends for b in BUILTIN_BACKENDS),
+             f"{name}: builtin rows missing (measured: {sorted(backends)})"),
+            (all(e["seconds"] > 0 and e["gflops"] > 0
+                 for e in backends.values()),
+             f"{name}: a non-positive time or GFLOP/s"),
+            # The execute() facade must not materially slow fast vs the
+            # raw kernel.  Same-run comparison (the cross-run GFLOP/s
+            # history is machine-noise bound), with a bar wide enough
+            # for shared-machine jitter: single-run excursions past 20%
+            # in the facade's *favor* occur; real facade cost is 1-8%.
+            (overhead is None or overhead < 0.25,
+             f"{name}: execute() facade costs fast {overhead} over the "
+             "raw kernel (bar: < 0.25)"),
+        ]
+    by_name = {c["name"]: c for c in configs}
+    for size in ("medium", "large"):
+        for pattern in ("2:4", "8:32"):
+            bars.append(
+                (by_name[f"{size}-{pattern}"]["fast_facade_overhead"]
+                 is not None,
+                 f"{size}-{pattern}: no facade-overhead measurement")
+            )
+    # The gather-GEMM headline: fast must beat the structural blocked executor
     # by >=5x on the bench_functional_kernels medium problem.
     funcbench = by_name[f"{FUNCBENCH_NAME}-8:32"]["fast_vs_blocked"]
-    assert funcbench is not None and funcbench >= 5.0
-    # The registry PR's headline: dense_scatter closes the tiny-L gap,
-    # beating gather-GEMM on the degenerate 2:4/L=4 small config...
-    small = by_name["small-2:4"]["backends"]
-    assert small["dense_scatter"]["gflops"] >= small["fast"]["gflops"]
-    # ...without the facade materially slowing fast vs the raw kernel
-    # on the medium/large configs.  Same-run comparison (the cross-run
-    # GFLOP/s history is machine-noise bound), with a bar wide enough
-    # for shared-machine jitter: the checked-in data shows single-run
-    # excursions past 20% in the facade's *favor*, so a tight bound
-    # would flake on an unchanged tree; real facade cost measures 1-8%.
-    for size in ("medium", "large"):
-        for config_pattern in ("2:4", "8:32"):
-            overhead = by_name[f"{size}-{config_pattern}"][
-                "fast_facade_overhead"
-            ]
-            assert overhead is not None and overhead < 0.25
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid, one repeat, no JSON write (CI rot check)",
+    bars.append(
+        (funcbench is not None and funcbench >= 5.0,
+         f"fast is only {funcbench}x vs the structural blocked executor "
+         "on the funcbench medium problem (bar: >= 5x)")
     )
-    args = parser.parse_args(argv)
-    result = run_kernel_bench(smoke=args.smoke)
-    print(render_results(result))
-    if not args.smoke:
-        print(f"\nwrote {write_results(result)}")
-        # Enforce the acceptance bars wherever the tracked numbers are
-        # regenerated (the pytest path asserts the same).
-        by_name = {c["name"]: c for c in result["configs"]}
-        funcbench = by_name[f"{FUNCBENCH_NAME}-8:32"]["fast_vs_blocked"]
-        if funcbench is None or funcbench < 5.0:
-            shown = "missing" if funcbench is None else f"{funcbench:.1f}x"
-            print(
-                f"FAIL: fast is only {shown} vs the structural blocked "
-                "executor on the funcbench medium problem "
-                "(acceptance bar: >=5x)"
-            )
-            return 1
-        small = by_name["small-2:4"]["backends"]
-        if "fast" not in small or "dense_scatter" not in small:
-            print(
-                "FAIL: the small-2:4 acceptance rows are missing "
-                f"(measured: {sorted(small)})"
-            )
-            return 1
-        if small["dense_scatter"]["gflops"] < small["fast"]["gflops"]:
-            print(
-                "FAIL: dense_scatter "
-                f"({small['dense_scatter']['gflops']:.1f} GFLOP/s) does "
-                "not close the tiny-L gap vs fast "
-                f"({small['fast']['gflops']:.1f} GFLOP/s) on small-2:4"
-            )
-            return 1
-        worst = max(
-            (
-                c["fast_facade_overhead"]
-                for c in result["configs"]
-                if c["fast_facade_overhead"] is not None
-            ),
-            default=None,
+    # The backend-registry headline: dense_scatter closes the tiny-L gap,
+    # beating gather-GEMM on the degenerate 2:4/L=4 small config.
+    small = by_name["small-2:4"]["backends"]
+    if "fast" in small and "dense_scatter" in small:
+        scatter, fast = small["dense_scatter"]["gflops"], small["fast"]["gflops"]
+        bars.append(
+            (scatter >= fast,
+             f"dense_scatter ({scatter:.1f} GFLOP/s) does not close the "
+             f"tiny-L gap vs fast ({fast:.1f} GFLOP/s) on small-2:4")
         )
-        if worst is not None and worst >= 0.25:
-            # Looser than the pytest bar: standalone runs share the
-            # machine with whatever else is running.
-            print(
-                f"FAIL: execute() facade costs fast {worst * 100:.0f}% "
-                "over the raw kernel (bar: <25%)"
-            )
-            return 1
-    return 0
+    return [message for ok, message in bars if not ok]
 
+
+BENCH = harness.Bench(
+    name="kernel_backends",
+    schema="nm-spmm/kernel-bench/v1",
+    output="BENCH_kernels.json",
+    run=run,
+    render=render,
+    checks=checks,
+)
+test_bench_kernel_backends = harness.pytest_case(BENCH)
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

@@ -35,38 +35,27 @@ Schema (``nm-spmm/model-serving-bench/v1``)::
       }
     }
 
-The acceptance bar (asserted here and mirrored in tier-1 by
+The acceptance bar (checked on full runs and mirrored in tier-1 by
 ``tests/test_model_serving.py``): under the memory-constrained
 long-context scenario at *equal offered load*, kv-aware admission
 strictly beats the no-memory-model baseline on SLO attainment, the
 baseline actually overflows (``overflow_steps > 0``), and every
 kv-aware run's byte ledger reconciles — resident ≤ budget at every
-recorded event and zero leaked KV after drain.
-
-Run standalone (``python benchmarks/bench_model_serving.py``, add
-``--smoke`` for the short no-write CI variant, or ``--out PATH`` to
-write the full run somewhere other than the committed file — CI diffs
-such a run against the committed baseline) or under pytest-benchmark
-(``pytest benchmarks/bench_model_serving.py``).
+recorded event and zero leaked KV after drain.  ``--smoke`` shortens
+every run and checks only the ledgers; see :mod:`harness` for the CLI,
+the write policy and the pytest entry.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
+import harness
 
 from repro.serve.model_exec import (
     agentic_short_decodes,
     long_context_summarization,
     prefill_heavy_chat,
 )
-from repro.utils.benchmeta import bench_meta
 from repro.utils.tables import TextTable
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_model_serving.json"
-SCHEMA = "nm-spmm/model-serving-bench/v1"
 
 #: Scenario factories (not instances: smoke mode shortens the runs).
 SCENARIOS = {
@@ -104,42 +93,22 @@ def _comparison_leg(summary: dict) -> dict:
     }
 
 
-def run_model_serving_bench(
-    *, smoke: bool = False, generated_at: "str | None" = None
-) -> dict:
+def run(smoke: bool) -> tuple:
     overrides = {"duration_s": SMOKE_DURATION_S} if smoke else {}
-    configs = []
-    for name, factory in SCENARIOS.items():
-        scenario = factory(**overrides)
-        report = _run_reconciled(scenario)
-        configs.append(
-            {
-                "name": name,
-                "scenario": scenario.describe(),
-                "metrics": report.summary(),
-            }
-        )
+    grid = {name: factory(**overrides) for name, factory in SCENARIOS.items()}
+    configs = harness.scenario_rows(grid, run=_run_reconciled)
     kv_scenario = SCENARIOS[COMPARISON_SCENARIO](**overrides)
-    kv_summary = _run_reconciled(kv_scenario).summary()
-    none_summary = _run_reconciled(
-        SCENARIOS[COMPARISON_SCENARIO](kv_admission="none", **overrides)
-    ).summary()
-    kv_leg = _comparison_leg(kv_summary)
-    none_leg = _comparison_leg(none_summary)
-    seeds = {
-        factory(**overrides).seed for factory in SCENARIOS.values()
+    kv_leg = _comparison_leg(_run_reconciled(kv_scenario).summary())
+    none_leg = _comparison_leg(
+        _run_reconciled(
+            SCENARIOS[COMPARISON_SCENARIO](kv_admission="none", **overrides)
+        ).summary()
+    )
+    config = {
+        **{c["name"]: c["scenario"] for c in configs},
+        "kv_comparison": kv_scenario.describe(),
     }
-    return {
-        "schema": SCHEMA,
-        "meta": bench_meta(
-            SCHEMA,
-            config={
-                **{c["name"]: c["scenario"] for c in configs},
-                "kv_comparison": kv_scenario.describe(),
-            },
-            seed=seeds.pop() if len(seeds) == 1 else None,
-            generated_at=generated_at,
-        ),
+    return config, harness.shared_seed(grid.values()), {
         "configs": configs,
         "kv_comparison": {
             "scenario": kv_scenario.describe(),
@@ -152,40 +121,44 @@ def run_model_serving_bench(
     }
 
 
-def config_named(result: dict, name: str) -> dict:
-    for config in result["configs"]:
-        if config["name"] == name:
-            return config
-    raise KeyError(name)
-
-
-def check_acceptance(result: dict) -> "str | None":
-    """The tentpole bar (None = pass): kv-aware strictly beats the
-    no-memory-model baseline on SLO attainment at equal offered load,
-    and the baseline genuinely overflowed."""
+def checks(result: dict, smoke: bool) -> list[str]:
+    if smoke:
+        return []
+    configs = result["configs"]
+    bars = [(len(configs) == len(SCENARIOS), f"{len(configs)} configs")]
+    for config in configs:
+        name, metrics = config["name"], config["metrics"]
+        memory = metrics["memory"]
+        bars += [
+            (metrics["resilience"]["outcomes"]["completed"] > 0,
+             f"{name}: completed nothing"),
+            (metrics["continuous"]["steps"] > 0, f"{name}: no engine steps"),
+            (memory["weight_bytes"] > 0 and memory["kv_peak_bytes"] > 0,
+             f"{name}: empty memory ledger: {memory}"),
+            (memory["admission"] != "kv-aware"
+             or memory["peak_resident_bytes"] <= memory["budget_bytes"],
+             f"{name}: peak resident {memory['peak_resident_bytes']} B "
+             f"over the {memory['budget_bytes']} B budget"),
+        ]
+    # The acceptance bar: kv-aware strictly beats the no-memory-model
+    # baseline on SLO attainment at equal offered load, and the
+    # comparison is genuinely memory-bound.
     comparison = result["kv_comparison"]
-    if comparison["attainment_delta"] <= 0:
-        return (
-            "kv-aware admission did not beat the baseline: attainment "
-            f"{comparison['kv_aware']['slo_attainment']:.3f} vs "
-            f"{comparison['none']['slo_attainment']:.3f}"
-        )
-    if comparison["none"]["overflow_steps"] == 0:
-        return "the 'none' baseline never overflowed — not memory-bound"
-    if comparison["kv_aware"]["kv_evictions"] == 0:
-        return "kv-aware admission never evicted — not memory-bound"
-    return None
+    kv_leg, none_leg = comparison["kv_aware"], comparison["none"]
+    bars += [
+        (comparison["attainment_delta"] > 0,
+         "kv-aware admission did not beat the baseline: attainment "
+         f"{kv_leg['slo_attainment']:.3f} vs "
+         f"{none_leg['slo_attainment']:.3f}"),
+        (none_leg["overflow_steps"] != 0,
+         "the 'none' baseline never overflowed — not memory-bound"),
+        (kv_leg["kv_evictions"] != 0,
+         "kv-aware admission never evicted — not memory-bound"),
+    ]
+    return [message for ok, message in bars if not ok]
 
 
-def write_results(
-    result: dict, path: "pathlib.Path | None" = None
-) -> pathlib.Path:
-    path = OUTPUT_PATH if path is None else path
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_results(result: dict) -> str:
+def render(result: dict) -> str:
     table = TextTable(
         ["scenario", "SLO %", "p99 ms", "QPS", "steps", "HBM peak %",
          "kv evict", "overflow"],
@@ -223,50 +196,15 @@ def render_results(result: dict) -> str:
     return "\n".join(lines)
 
 
-def test_bench_model_serving(benchmark, emit):
-    result = benchmark.pedantic(
-        run_model_serving_bench, rounds=1, iterations=1
-    )
-    path = write_results(result)
-    emit("model_serving", render_results(result) + f"\n\nwrote {path}")
-
-    assert result["schema"] == SCHEMA
-    assert len(result["configs"]) == len(SCENARIOS)
-    for config in result["configs"]:
-        metrics = config["metrics"]
-        assert metrics["resilience"]["outcomes"]["completed"] > 0
-        assert metrics["continuous"]["steps"] > 0
-        memory = metrics["memory"]
-        assert memory["weight_bytes"] > 0
-        assert memory["kv_peak_bytes"] > 0
-        if memory["admission"] == "kv-aware":
-            assert memory["peak_resident_bytes"] <= memory["budget_bytes"]
-    assert check_acceptance(result) is None
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="short runs, no JSON write, no acceptance gate (CI rot check)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help=f"output path of a full run (default {OUTPUT_PATH})",
-    )
-    args = parser.parse_args(argv)
-    result = run_model_serving_bench(smoke=args.smoke)
-    print(render_results(result))
-    if not args.smoke:
-        out = pathlib.Path(args.out) if args.out else None
-        print(f"\nwrote {write_results(result, out)}")
-        failure = check_acceptance(result)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            return 1
-    return 0
-
+BENCH = harness.Bench(
+    name="model_serving",
+    schema="nm-spmm/model-serving-bench/v1",
+    output="BENCH_model_serving.json",
+    run=run,
+    render=render,
+    checks=checks,
+)
+test_bench_model_serving = harness.pytest_case(BENCH)
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

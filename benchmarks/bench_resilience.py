@@ -29,31 +29,24 @@ Schema (``nm-spmm/resilience-bench/v1``)::
       ]
     }
 
-Acceptance (asserted under pytest): request accounting reconciles in
-every cell (completed + shed + timed-out + failed == submitted — zero
-silent loss), the healthy baseline is unperturbed by enabling
-resilience, and on the device-fail-stop scenario resilience-on SLO
-goodput strictly beats resilience-off at equal load.
-
-Run standalone (``python benchmarks/bench_resilience.py [--smoke]``;
-``--smoke`` is the short no-write CI variant) or under
-pytest-benchmark (``pytest benchmarks/bench_resilience.py``).
+Acceptance, enforced on smoke and full runs alike: request accounting
+reconciles in every cell (completed + shed + timed-out + failed ==
+submitted — zero silent loss), the healthy baseline is unperturbed by
+enabling resilience, and on the device-fail-stop scenario
+resilience-on SLO goodput strictly beats resilience-off at equal load.
+``--smoke`` shortens every cell; see :mod:`harness` for the CLI, the
+write policy and the pytest entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
+
+import harness
 
 from repro.serve.resilience import ResiliencePolicy
 from repro.serve.scenarios import LlamaServingScenario, TrafficTier
-from repro.utils.benchmeta import bench_meta
 from repro.utils.tables import TextTable
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_resilience.json"
-SCHEMA = "nm-spmm/resilience-bench/v1"
 
 #: Every cell serves this scenario; only ``faults``/``resilience``
 #: vary.  Both tiers carry SLOs so ``slo_goodput`` covers the whole
@@ -92,94 +85,87 @@ RESILIENCE_MODES: dict[str, "ResiliencePolicy | None"] = {
 }
 
 
-def run_resilience_bench(
-    smoke: bool = False, generated_at: "str | None" = None
-) -> dict:
-    """Run the fault × resilience grid and return the schema result."""
-    cells = []
-    for fault_name, spec in FAULT_SCENARIOS.items():
-        for mode, policy in RESILIENCE_MODES.items():
-            scenario = dataclasses.replace(
-                BASE_SCENARIO,
-                faults=spec,
-                resilience=policy,
-                # The smoke run still has to cover every fault window
-                # (the fail-stop lands at 0.8 s, the storm ends at 1 s).
-                duration_s=1.1 if smoke else BASE_SCENARIO.duration_s,
-            )
-            report = scenario.run()
-            cells.append(
-                {
-                    "name": f"{fault_name}@{mode}",
-                    "fault_scenario": fault_name,
-                    "faults": spec,
-                    "resilience": policy is not None,
-                    "scenario": scenario.describe(),
-                    "metrics": report.summary(),
-                }
-            )
-    return {
-        "schema": SCHEMA,
-        "meta": bench_meta(
-            SCHEMA,
-            config={cell["name"]: cell["scenario"] for cell in cells},
-            seed=BASE_SCENARIO.seed,
-            generated_at=generated_at,
-        ),
-        "cells": cells,
+def run(smoke: bool) -> tuple:
+    """Run the fault × resilience grid."""
+    grid = {
+        f"{fault_name}@{mode}": dataclasses.replace(
+            BASE_SCENARIO,
+            faults=spec,
+            resilience=policy,
+            # The smoke run still has to cover every fault window (the
+            # fail-stop lands at 0.8 s, the storm ends at 1 s).
+            duration_s=1.1 if smoke else BASE_SCENARIO.duration_s,
+        )
+        for fault_name, spec in FAULT_SCENARIOS.items()
+        for mode, policy in RESILIENCE_MODES.items()
     }
+    cells = harness.scenario_rows(grid)
+    for cell in cells:
+        fault_name, mode = cell["name"].split("@")
+        cell["fault_scenario"] = fault_name
+        cell["faults"] = FAULT_SCENARIOS[fault_name]
+        cell["resilience"] = RESILIENCE_MODES[mode] is not None
+    config = {cell["name"]: cell["scenario"] for cell in cells}
+    return config, BASE_SCENARIO.seed, {"cells": cells}
 
 
-def cell_named(result: dict, name: str) -> dict:
-    for cell in result["cells"]:
-        if cell["name"] == name:
-            return cell
-    raise KeyError(name)
-
-
-def check_acceptance(result: dict) -> None:
-    """The driver-enforced invariants, assertable on any run of the
-    grid (pytest and the standalone path both call this)."""
-    assert result["schema"] == SCHEMA
-    assert len(result["cells"]) == len(FAULT_SCENARIOS) * len(
-        RESILIENCE_MODES
-    )
-    for cell in result["cells"]:
+def checks(result: dict, smoke: bool) -> list[str]:
+    """Every bar holds on smoke and full runs alike."""
+    cells = result["cells"]
+    want = len(FAULT_SCENARIOS) * len(RESILIENCE_MODES)
+    bars = [(len(cells) == want, f"{len(cells)} cells, want {want}")]
+    for cell in cells:
         res = cell["metrics"]["resilience"]
         # Zero silent request loss: every submitted request terminates
         # exactly once, and the summary's outcome ledger reconciles.
-        assert sum(res["outcomes"].values()) == res["submitted"], cell["name"]
-        assert res["outcomes"]["completed"] == (
-            cell["metrics"]["completed_requests"]
-        )
+        bars += [
+            (sum(res["outcomes"].values()) == res["submitted"],
+             f"{cell['name']}: outcomes {res['outcomes']} do not sum to "
+             f"{res['submitted']} submitted"),
+            (res["outcomes"]["completed"]
+             == cell["metrics"]["completed_requests"],
+             f"{cell['name']}: outcome ledger disagrees with "
+             "completed_requests"),
+        ]
+
+    def resilience(name: str) -> dict:
+        return harness.named(cells, name)["metrics"]["resilience"]
 
     # The healthy baseline must be unperturbed by enabling resilience:
     # no retries, no drops, identical completions.
     for mode in RESILIENCE_MODES:
-        res = cell_named(result, f"no-faults@{mode}")["metrics"]["resilience"]
-        assert res["outcomes"]["completed"] == res["submitted"]
-        assert res["retries"] == 0 and res["launch_faults"] == 0
+        res = resilience(f"no-faults@{mode}")
+        bars += [
+            (res["outcomes"]["completed"] == res["submitted"],
+             f"no-faults@{mode}: dropped requests: {res['outcomes']}"),
+            (res["retries"] == 0 and res["launch_faults"] == 0,
+             f"no-faults@{mode}: {res['retries']} retries, "
+             f"{res['launch_faults']} launch faults"),
+        ]
 
     # The headline claim: under a mid-run device fail-stop, re-sharding
     # onto survivors strictly beats serving without resilience.
-    on = cell_named(result, "device-failstop@on")["metrics"]["resilience"]
-    off = cell_named(result, "device-failstop@off")["metrics"]["resilience"]
-    assert on["reshards"] == 1 and on["recovery_s"] > 0
-    assert off["reshards"] == 0
-    assert on["slo_goodput"] > off["slo_goodput"]
+    on, off = resilience("device-failstop@on"), resilience("device-failstop@off")
+    storm_on = resilience("launch-storm@on")
+    bars += [
+        (on["reshards"] == 1 and on["recovery_s"] > 0,
+         f"device-failstop@on: {on['reshards']} reshards, recovery "
+         f"{on['recovery_s']} s"),
+        (off["reshards"] == 0,
+         f"device-failstop@off: {off['reshards']} reshards"),
+        (on["slo_goodput"] > off["slo_goodput"],
+         f"device-failstop: goodput on {on['slo_goodput']} is not above "
+         f"off {off['slo_goodput']}"),
+        # The storm actually injected faults and (with resilience)
+        # retried.
+        (storm_on["launch_faults"] > 0 and storm_on["retries"] > 0,
+         f"launch-storm@on: {storm_on['launch_faults']} launch faults, "
+         f"{storm_on['retries']} retries"),
+    ]
+    return [message for ok, message in bars if not ok]
 
-    # The storm actually injected faults and (with resilience) retried.
-    storm_on = cell_named(result, "launch-storm@on")["metrics"]["resilience"]
-    assert storm_on["launch_faults"] > 0
-    assert storm_on["retries"] > 0
 
-
-def write_results(result: dict) -> pathlib.Path:
-    OUTPUT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return OUTPUT_PATH
-
-
-def render_results(result: dict) -> str:
+def render(result: dict) -> str:
     table = TextTable(
         ["cell", "completed", "shed", "timeout", "failed", "retries",
          "reshards", "goodput %"],
@@ -203,21 +189,15 @@ def render_results(result: dict) -> str:
     return table.render()
 
 
-def test_bench_resilience(benchmark, emit):
-    result = benchmark.pedantic(run_resilience_bench, rounds=1, iterations=1)
-    path = write_results(result)
-    emit("resilience", render_results(result) + f"\n\nwrote {path}")
-    check_acceptance(result)
-
+BENCH = harness.Bench(
+    name="resilience",
+    schema="nm-spmm/resilience-bench/v1",
+    output="BENCH_resilience.json",
+    run=run,
+    render=render,
+    checks=checks,
+)
+test_bench_resilience = harness.pytest_case(BENCH)
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    smoke = "--smoke" in sys.argv[1:]
-    bench_result = run_resilience_bench(smoke=smoke)
-    check_acceptance(bench_result)
-    print(render_results(bench_result))
-    if smoke:
-        print("\nsmoke run: no JSON write")
-    else:
-        print(f"\nwrote {write_results(bench_result)}")
+    raise SystemExit(harness.main(BENCH))

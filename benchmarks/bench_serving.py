@@ -44,27 +44,22 @@ block (also additive; see :func:`repro.utils.benchmeta.bench_meta`)
 carries the seed and a fingerprint of the scenario grid so ``python
 -m repro bench diff`` refuses cross-configuration comparisons.
 
-Run standalone (``python benchmarks/bench_serving.py``) or under
-pytest-benchmark (``pytest benchmarks/bench_serving.py``).
+``--smoke`` skips the tracer-overhead measurement and every bar; see
+:mod:`harness` for the CLI, the write policy and the pytest entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import pathlib
 import time
+
+import harness
 
 from repro.obs import Tracer
 from repro.serve.batcher import BatchingPolicy
 from repro.serve.scenarios import LlamaServingScenario
-from repro.utils.benchmeta import bench_meta
 from repro.utils.tables import TextTable
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
-SCHEMA = "nm-spmm/serving-bench/v2"
 
 #: The tracked scenario grid.  Numerics are disabled: the benchmark
 #: tracks scheduler/model behavior, and modeled time is what drives the
@@ -161,70 +156,19 @@ def measure_tracer_overhead() -> dict:
     }
 
 
-def bench_metadata(generated_at: "str | None" = None) -> dict:
-    """The standard ``meta`` header for this benchmark.
-
-    The fingerprint covers only the scenario grid (name ->
-    ``describe()``), so a ``--smoke`` run — same grid, overhead
-    measurement skipped — stays comparable with the committed full
-    run, while any grid edit refuses comparison against stale
-    baselines."""
-    seeds = {scenario.seed for scenario in SCENARIOS.values()}
-    return bench_meta(
-        SCHEMA,
-        config={name: s.describe() for name, s in SCENARIOS.items()},
-        seed=seeds.pop() if len(seeds) == 1 else None,
-        generated_at=generated_at,
-    )
+def run(smoke: bool) -> tuple:
+    """Run every scenario.  The fingerprint covers only the scenario
+    grid, so a ``--smoke`` run (same grid, the wall-clock overhead
+    block skipped: it has no business in a regression gate) stays
+    comparable with the committed full run."""
+    body: dict = {"configs": harness.scenario_rows(SCENARIOS)}
+    if not smoke:
+        body["tracer_overhead"] = measure_tracer_overhead()
+    config = {name: s.describe() for name, s in SCENARIOS.items()}
+    return config, harness.shared_seed(SCENARIOS.values()), body
 
 
-def run_serving_bench(
-    *,
-    include_overhead: bool = True,
-    generated_at: "str | None" = None,
-) -> dict:
-    """Run every scenario and return the schema-shaped result.
-
-    ``include_overhead=False`` is the CI smoke mode: the scenario
-    metrics are deterministic on the simulated clock, but the
-    tracer-overhead block measures host wall time and has no business
-    in a regression gate."""
-    configs = []
-    for name, scenario in SCENARIOS.items():
-        report = scenario.run()
-        configs.append(
-            {
-                "name": name,
-                "scenario": scenario.describe(),
-                "metrics": report.summary(),
-            }
-        )
-    result = {
-        "schema": SCHEMA,
-        "meta": bench_metadata(generated_at),
-        "configs": configs,
-    }
-    if include_overhead:
-        result["tracer_overhead"] = measure_tracer_overhead()
-    return result
-
-
-def config_named(result: dict, name: str) -> dict:
-    for config in result["configs"]:
-        if config["name"] == name:
-            return config
-    raise KeyError(name)
-
-
-def write_results(
-    result: dict, path: "pathlib.Path | None" = None
-) -> pathlib.Path:
-    path = OUTPUT_PATH if path is None else path
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_results(result: dict) -> str:
+def render(result: dict) -> str:
     table = TextTable(
         ["scenario", "p50 ms", "p99 ms", "hi-pri p99", "SLO %", "QPS",
          "batch req", "cache hit%"],
@@ -249,78 +193,81 @@ def render_results(result: dict) -> str:
     return table.render()
 
 
-def test_bench_serving(benchmark, emit):
-    result = benchmark.pedantic(run_serving_bench, rounds=1, iterations=1)
-    path = write_results(result)
-    emit("serving", render_results(result) + f"\n\nwrote {path}")
-
-    assert result["schema"] == SCHEMA
-    assert len(result["configs"]) == len(SCENARIOS)
-    for config in result["configs"]:
-        metrics = config["metrics"]
+def checks(result: dict, smoke: bool) -> list[str]:
+    if smoke:
+        return []
+    configs = result["configs"]
+    bars = [(len(configs) == len(SCENARIOS), f"{len(configs)} configs")]
+    for config in configs:
+        name, metrics = config["name"], config["metrics"]
         lat = metrics["latency"]
-        assert 0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"]
-        assert metrics["achieved_qps"] > 0
-        assert metrics["completed_requests"] > 0
-        # Row bucketing must make the plan cache converge under load.
-        assert metrics["plan_cache"]["hit_rate"] > 0.5
+        bars += [
+            (0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"],
+             f"{name}: latency percentiles out of order: {lat}"),
+            (metrics["achieved_qps"] > 0, f"{name}: achieved_qps is 0"),
+            (metrics["completed_requests"] > 0, f"{name}: completed nothing"),
+            # Row bucketing must make the plan cache converge under load.
+            (metrics["plan_cache"]["hit_rate"] > 0.5,
+             f"{name}: plan-cache hit rate "
+             f"{metrics['plan_cache']['hit_rate']:.3f} (bar: > 0.5)"),
+        ]
 
     # Continuous batching must actually roll on the mixed scenario,
     # and the histogram mass must equal the launch count.
-    mixed = config_named(result, "mixed-prefill-decode")["metrics"]
-    assert mixed["continuous"]["steps"] > 0
-    assert mixed["continuous"]["evictions"] > 0
-    assert (
-        mixed["launches"]
-        == mixed["batches"] + mixed["continuous"]["steps"]
-        == sum(mixed["padded_rows_histogram"].values())
+    mixed = harness.named(configs, "mixed-prefill-decode")["metrics"]
+    cont = mixed["continuous"]
+    launches = (
+        mixed["launches"],
+        mixed["batches"] + cont["steps"],
+        sum(mixed["padded_rows_histogram"].values()),
     )
+    bars += [
+        (cont["steps"] > 0 and cont["evictions"] > 0,
+         f"mixed-prefill-decode: continuous batching idle: {cont}"),
+        (len(set(launches)) == 1,
+         "mixed-prefill-decode: launches, batches + steps and histogram "
+         f"mass disagree: {launches}"),
+    ]
 
-    # The acceptance comparison: at equal offered load, slo-edf must
-    # beat fifo on high-priority p99 *and* SLO attainment.
-    fifo = config_named(result, "priority-fifo")["metrics"]
-    edf = config_named(result, "priority-slo-edf")["metrics"]
-    fifo_hi = fifo["latency_by_priority"][HIGH_PRIORITY_TIER]
-    edf_hi = edf["latency_by_priority"][HIGH_PRIORITY_TIER]
-    assert edf_hi["p99_ms"] < fifo_hi["p99_ms"]
-    fifo_hi_slo = fifo["slo"]["attainment_by_priority"][HIGH_PRIORITY_TIER]
-    edf_hi_slo = edf["slo"]["attainment_by_priority"][HIGH_PRIORITY_TIER]
-    assert edf_hi_slo > fifo_hi_slo
-    assert edf["slo"]["attainment_rate"] > fifo["slo"]["attainment_rate"]
+    # At equal offered load, slo-edf must beat fifo on high-priority
+    # p99 *and* SLO attainment.
+    fifo = harness.named(configs, "priority-fifo")["metrics"]
+    edf = harness.named(configs, "priority-slo-edf")["metrics"]
+    tier = HIGH_PRIORITY_TIER
+    p99 = [m["latency_by_priority"][tier]["p99_ms"] for m in (edf, fifo)]
+    tier_slo = [m["slo"]["attainment_by_priority"][tier] for m in (edf, fifo)]
+    slo = [m["slo"]["attainment_rate"] for m in (edf, fifo)]
+    bars += [
+        (p99[0] < p99[1], f"tier-{tier} p99 ms, slo-edf vs fifo: {p99}"),
+        (tier_slo[0] > tier_slo[1],
+         f"tier-{tier} SLO attainment, slo-edf vs fifo: {tier_slo}"),
+        (slo[0] > slo[1], f"SLO attainment, slo-edf vs fifo: {slo}"),
+    ]
 
-    # Observability acceptance: the default (disabled) path pays only
-    # the facade, whose cost stays below the 5% measurement budget.
+    # The default (disabled) path pays only the facade, whose cost
+    # stays below the 5% measurement budget; sampled + ring-bounded
+    # tracing is cheap enough to leave on.
     overhead = result["tracer_overhead"]
-    assert overhead["disabled_s"] > 0 and overhead["enabled_s"] > 0
-    assert overhead["facade_ratio"] < 1.05
-    # Sampled + ring-bounded tracing is cheap enough to leave on.
-    assert overhead["sampled_s"] > 0
-    assert overhead["sampled_ratio"] < 1.2
+    bars += [
+        (all(overhead[f"{k}_s"] > 0 for k in ("disabled", "enabled", "sampled")),
+         f"tracer overhead: a timing is not positive: {overhead}"),
+        (overhead["facade_ratio"] < 1.05,
+         f"facade_ratio {overhead['facade_ratio']:.3f} (bar: < 1.05)"),
+        (overhead["sampled_ratio"] < 1.2,
+         f"sampled_ratio {overhead['sampled_ratio']:.3f} (bar: < 1.2)"),
+    ]
+    return [message for ok, message in bars if not ok]
 
+
+BENCH = harness.Bench(
+    name="serving",
+    schema="nm-spmm/serving-bench/v2",
+    output="BENCH_serving.json",
+    run=run,
+    render=render,
+    checks=checks,
+)
+test_bench_serving = harness.pytest_case(BENCH)
 
 if __name__ == "__main__":  # pragma: no cover
-    import argparse
-
-    cli = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    cli.add_argument(
-        "--smoke", action="store_true",
-        help="skip the wall-clock tracer-overhead measurement "
-             "(deterministic metrics only, for CI bench diff)",
-    )
-    cli.add_argument(
-        "--out", default=None, metavar="PATH",
-        help=f"output path (default {OUTPUT_PATH})",
-    )
-    cli.add_argument(
-        "--timestamp", default=None, metavar="ISO8601",
-        help="recorded as meta.generated_at (this tool never reads "
-             "the wall clock itself)",
-    )
-    cli_args = cli.parse_args()
-    bench_result = run_serving_bench(
-        include_overhead=not cli_args.smoke,
-        generated_at=cli_args.timestamp,
-    )
-    print(render_results(bench_result))
-    out = pathlib.Path(cli_args.out) if cli_args.out else None
-    print(f"\nwrote {write_results(bench_result, out)}")
+    raise SystemExit(harness.main(BENCH))

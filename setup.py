@@ -1,7 +1,21 @@
-"""Legacy shim so `pip install -e .` works on offline hosts without the
-`wheel` package (pip falls back to `setup.py develop` with
---no-use-pep517).  All metadata lives in pyproject.toml."""
+"""Package metadata for the ``repro`` library under ``src/``.
 
-from setuptools import setup
+``pip install -e .`` installs it; on offline hosts without the
+``wheel`` package pip falls back to ``setup.py develop``
+(``--no-use-pep517``)."""
 
-setup()
+import pathlib
+
+from setuptools import find_packages, setup
+
+VERSION: dict = {}
+exec((pathlib.Path(__file__).parent / "src/repro/_version.py").read_text(), VERSION)
+
+setup(
+    name="repro",
+    version=VERSION["__version__"],
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.10",
+)

@@ -3,7 +3,7 @@
 An AST-based rule engine encoding the invariants the reproduction's
 headline numbers rest on — per-seed bit determinism, the ``_s``/
 ``_ms``/``_bytes``/``_gb`` units discipline, ledger/observability
-hygiene and deprecated-API containment:
+hygiene:
 
 ======= ==========================================================
 code    invariant
@@ -13,7 +13,6 @@ DET002  wall-clock reads stay in the measured-host-span modules
 DET003  sets / ``dict.keys()`` are sorted before iteration
 UNIT001 no +/-/comparison across differing unit-name suffixes
 OBS001  ``Tracer.span()`` is always a ``with`` context
-API001  the deprecated ``EXECUTE_BACKENDS`` shim gains no new users
 LINT999 (engine) the file failed to parse at all
 ======= ==========================================================
 

@@ -11,7 +11,7 @@ The execution layer's public API:
   :func:`~repro.backends.registry.get_backend` /
   :func:`~repro.backends.registry.available_backends` /
   :func:`~repro.backends.registry.backend_names` — the process-wide
-  registry that replaced the frozen ``EXECUTE_BACKENDS`` constant;
+  registry;
 * :class:`~repro.backends.auto.AutoSelector` — the cost-aware
   ``backend="auto"`` policy, with
   :meth:`~repro.backends.auto.AutoSelector.explain` for inspectable

@@ -1,13 +1,12 @@
 """Process-wide execution-backend registry.
 
-Replaces the frozen ``EXECUTE_BACKENDS`` tuple: backends are
-*registered*, not enumerated in an ``if/elif``, so adding an execution
-strategy (multi-GPU-sharded, quantized, Triton-style...) is a
-:func:`register_backend` call instead of a core edit.  Every consumer
-— :meth:`NMSpMM.execute`, the serving runtime, the ``serve-sim`` CLI,
-``python -m repro backends`` and the kernel benchmark — enumerates
-this registry, so a newly registered backend is immediately usable end
-to end.
+Backends are *registered*, not enumerated in an ``if/elif``, so
+adding an execution strategy (multi-GPU-sharded, quantized,
+Triton-style...) is a :func:`register_backend` call instead of a core
+edit.  Every consumer — :meth:`NMSpMM.execute`, the serving runtime,
+the ``serve-sim`` CLI, ``python -m repro backends`` and the kernel
+benchmark — enumerates this registry, so a newly registered backend is
+immediately usable end to end.
 
 ``"auto"`` is not a backend: it names the
 :class:`~repro.backends.auto.AutoSelector`, which picks a registered
@@ -131,23 +130,6 @@ def backend_trace_vocabulary(name: str) -> tuple[str, ...]:
 
 
 def backend_names(*, include_auto: bool = True) -> tuple[str, ...]:
-    """Valid ``backend=`` arguments: ``"auto"`` plus the registered
-    names (what the deprecated ``EXECUTE_BACKENDS`` constant froze)."""
+    """Valid ``backend=`` arguments: ``"auto"`` plus the registered names."""
     names = tuple(_REGISTRY)
     return ((AUTO_BACKEND,) + names) if include_auto else names
-
-
-def deprecated_execute_backends(qualname: str) -> tuple[str, ...]:
-    """Body of the ``EXECUTE_BACKENDS`` deprecation shims (module
-    ``__getattr__`` in :mod:`repro.constants` and
-    :mod:`repro.core.api` both delegate here so the message and the
-    replacement stay in one place)."""
-    import warnings
-
-    warnings.warn(
-        f"{qualname} is deprecated; use repro.backends.backend_names() "
-        "(the registry) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return backend_names()

@@ -39,18 +39,6 @@ THREAD_TILE_REGISTER_BUDGET: int = MAX_REGISTERS_PER_THREAD
 #: for double buffering and temporaries).
 SMEM_USABLE_FRACTION: float = 0.5
 
-def __getattr__(name: str):
-    # Deprecated shim: the frozen EXECUTE_BACKENDS tuple was replaced
-    # by the pluggable backend registry (:mod:`repro.backends`), which
-    # the CLI, serving runtime and benchmarks now enumerate directly.
-    # Resolved lazily so this module stays import-light and the shim
-    # always reflects the currently registered backends.
-    if name == "EXECUTE_BACKENDS":
-        from repro.backends.registry import deprecated_execute_backends
-
-        return deprecated_execute_backends("repro.constants.EXECUTE_BACKENDS")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: Default vector length L for vector-wise pruning; the paper's figures
 #: use pruning windows of L-wide vectors with L a multiple of the warp
 #: quad width.  Fig. 1 demonstrates L = 4; kernels default to 32 which

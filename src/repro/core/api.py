@@ -20,7 +20,6 @@ from repro.backends import (
     ExecutionResult,
     get_backend,
 )
-from repro.backends.registry import deprecated_execute_backends
 from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.versions import OptimizationVersion
 from repro.errors import (
@@ -43,13 +42,6 @@ from repro.utils.cache import LRUCache
 from repro.utils.validation import check_matrix
 
 __all__ = ["SparseHandle", "NMSpMM", "nm_spmm"]
-
-
-def __getattr__(name: str):
-    # Deprecated shim: the frozen tuple became the backend registry.
-    if name == "EXECUTE_BACKENDS":
-        return deprecated_execute_backends("repro.core.api.EXECUTE_BACKENDS")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Key under which a plan is cached on a handle:

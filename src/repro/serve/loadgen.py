@@ -260,6 +260,8 @@ def generate_requests(
     """
     if not sources:
         raise ServeError("generate_requests needs at least one TrafficSource")
+    if seed < 0:
+        raise ServeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if arrival == "poisson":
         times = poisson_arrivals(qps, duration_s, rng)

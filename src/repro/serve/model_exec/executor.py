@@ -105,6 +105,8 @@ class ModelExecutor:
             raise ServeError(
                 f"kv_dtype_bytes must be >= 1, got {kv_dtype_bytes}"
             )
+        if seed < 0:
+            raise ServeError(f"seed must be >= 0, got {seed}")
         base = get_llama_model(model) if isinstance(model, str) else model
         self.base_model = base
         self.model = base.scaled(scale) if scale != 1 else base

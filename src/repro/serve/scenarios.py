@@ -185,6 +185,8 @@ class LlamaServingScenario:
             resilience=self.resilience,
         )
         sources: list[TrafficSource] = []
+        if self.seed < 0:
+            raise ServeError(f"seed must be >= 0, got {self.seed}")
         rng = np.random.default_rng(self.seed)
         for model_name in self.models:
             base = get_llama_model(model_name)

@@ -46,7 +46,6 @@ VIOLATION_FIXTURES = {
     "det003.py": "DET003",
     "unit001.py": "UNIT001",
     "obs001.py": "OBS001",
-    "api001.py": "API001",
 }
 
 
@@ -99,10 +98,6 @@ class TestRulePack:
     def test_obs001_sites(self):
         report = lint_fixture("obs001.py")
         assert [f.line for f in report.findings] == [7, 8]
-
-    def test_api001_sites(self):
-        report = lint_fixture("api001.py")
-        assert [f.line for f in report.findings] == [3, 9, 10]
 
     def test_masks_prefix_bug_is_caught(self):
         """DET001 catches the exact pre-fix random_nm_mask fallback
@@ -343,4 +338,4 @@ class TestRepositoryGate:
             exclude=("tests/fixtures/lint",),
         )
         assert report.findings == [], format_text(report)
-        assert report.suppressed >= 10  # the justified pragma sites
+        assert report.suppressed >= 4  # the justified pragma sites

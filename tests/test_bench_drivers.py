@@ -127,20 +127,35 @@ class TestTable1Driver:
         assert "Table I" in text
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: Each JSON bench driver and the committed file it regenerates.
+BENCH_OUTPUTS = {
+    "serving": "BENCH_serving.json",
+    "kernel_backends": "BENCH_kernels.json",
+    "distributed": "BENCH_distributed.json",
+    "resilience": "BENCH_resilience.json",
+    "model_serving": "BENCH_model_serving.json",
+}
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=False,
+    )
+
+
 class TestResilienceBenchSmoke:
-    def test_smoke_leaves_committed_results_alone(self):
-        root = pathlib.Path(__file__).resolve().parents[1]
-        committed = root / "BENCH_resilience.json"
+    @pytest.mark.parametrize("name", sorted(BENCH_OUTPUTS))
+    def test_smoke_leaves_committed_results_alone(self, name):
+        committed = ROOT / BENCH_OUTPUTS[name]
         before = committed.read_bytes()
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
         try:
-            done = subprocess.run(
-                [sys.executable, "benchmarks/bench_resilience.py", "--smoke"],
-                cwd=root, env=env, capture_output=True, text=True,
-                check=False,
-            )
-            assert done.returncode == 0, done.stderr
-            assert "no JSON write" in done.stdout
+            done = run_python(f"benchmarks/bench_{name}.py", "--smoke")
+            assert done.returncode == 0, done.stdout + done.stderr
+            assert "smoke run: no JSON write" in done.stdout
             assert committed.read_bytes() == before
         finally:
             if committed.read_bytes() != before:
@@ -148,27 +163,20 @@ class TestResilienceBenchSmoke:
 
 
 class TestModelServingBenchOut:
-    def test_out_leaves_committed_results_alone(self, tmp_path):
-        root = pathlib.Path(__file__).resolve().parents[1]
-        committed = root / "BENCH_model_serving.json"
+    @pytest.mark.parametrize(
+        "name", ["distributed", "model_serving", "resilience"]
+    )
+    def test_out_leaves_committed_results_alone(self, name, tmp_path):
+        committed = ROOT / BENCH_OUTPUTS[name]
         before = committed.read_bytes()
-        out = tmp_path / "BENCH_model_serving.json"
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = tmp_path / committed.name
         try:
-            done = subprocess.run(
-                [sys.executable, "benchmarks/bench_model_serving.py",
-                 "--out", str(out)],
-                cwd=root, env=env, capture_output=True, text=True,
-                check=False,
-            )
-            assert done.returncode == 0, done.stderr
+            done = run_python(f"benchmarks/bench_{name}.py", "--out", str(out))
+            assert done.returncode == 0, done.stdout + done.stderr
             assert f"wrote {out}" in done.stdout
             assert committed.read_bytes() == before
-            diff = subprocess.run(
-                [sys.executable, "-m", "repro", "bench", "diff",
-                 str(committed), str(out)],
-                cwd=root, env=env, capture_output=True, text=True,
-                check=False,
+            diff = run_python(
+                "-m", "repro", "bench", "diff", str(committed), str(out)
             )
             assert diff.returncode == 0, diff.stdout
             assert "all metrics identical" in diff.stdout

@@ -51,6 +51,8 @@ class TestLayerRoster:
             ModelExecutor("llama-7b", scale=16, blocks=0)
         with pytest.raises(ServeError, match="kv_dtype_bytes"):
             ModelExecutor("llama-7b", scale=16, kv_dtype_bytes=0)
+        with pytest.raises(ServeError, match="seed must be >= 0"):
+            ModelExecutor("llama-7b", scale=16, seed=-1)
 
 
 class TestNumerics:

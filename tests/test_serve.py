@@ -416,6 +416,12 @@ class TestLoadgen:
             np.testing.assert_array_equal(ra.a, rb.a)
         assert [r.request_id for r in a] == list(range(len(a)))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ServeError, match="seed must be >= 0"):
+            generate_requests(
+                [TrafficSource(model="m", k=16)], 100.0, 1.0, seed=-1
+            )
+
     def test_custom_rows_choices_fall_back_to_uniform(self):
         # Non-default-length rows_choices must not trip over the
         # decode-heavy default weights (regression).
@@ -881,6 +887,12 @@ class TestServeSimCLI:
             main(["serve-sim", "--duration", "0.1", flag, value])
         assert str(exc.value).startswith("serve-sim: ")
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("mode", [[], ["--model-mode"]])
+    def test_negative_seed_exits_cleanly(self, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-sim", *mode, "--duration", "0.1", "--seed", "-1"])
+        assert str(exc.value) == "serve-sim: seed must be >= 0, got -1"
 
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "serve.json"
